@@ -468,7 +468,7 @@ fn run_incremental() {
     let r = experiments::incremental_latency();
     println!("system: MPEG-2 encoder; one process alternated between two Pareto points");
     println!(
-        "full stateless pass  : {:>9.1} us  (parse + precheck + cache key + warm cached analyze + render)",
+        "full stateless pass  : {:>9.1} us  (parse + design + cache key + warm cached analyze + render)",
         r.full_us
     );
     println!(

@@ -861,8 +861,8 @@ pub fn ablation() -> AblationResult {
 #[derive(Debug, Clone)]
 pub struct IncrementalResult {
     /// Median microseconds for one stateless `/analyze`-equivalent pass
-    /// over an edited spec: JSON parse, design precheck, canonical cache
-    /// key, memoized analysis (kept warm — the *best* case for the
+    /// over an edited spec: JSON parse, one design build, canonical
+    /// cache key, memoized analysis (kept warm — the *best* case for the
     /// stateless path), and rendering.
     pub full_us: f64,
     /// Median microseconds for one session reselect (dirty-SCC reprice).
@@ -922,7 +922,8 @@ pub fn incremental_latency() -> IncrementalResult {
     let mut sink = 0usize;
     for v in &variants {
         let spec = ermesd::SystemSpec::from_json(v).expect("round-trips");
-        sink += ermesd::cmd_analyze_cached(&spec, &cache)
+        let design = spec.to_design().expect("well-formed");
+        sink += ermesd::analyze_design(&design, Some(&cache), None)
             .expect("analyzes")
             .len();
     }
@@ -933,9 +934,9 @@ pub fn incremental_latency() -> IncrementalResult {
                 for i in 0..FULL_ITERS {
                     let spec =
                         ermesd::SystemSpec::from_json(&variants[i % 2]).expect("round-trips");
-                    let _ = spec.to_design().expect("well-formed"); // endpoint precheck
+                    let design = spec.to_design().expect("well-formed");
                     sink += spec.to_json_pretty().len(); // canonical cache key
-                    sink += ermesd::cmd_analyze_cached(&spec, &cache)
+                    sink += ermesd::analyze_design(&design, Some(&cache), None)
                         .expect("analyzes")
                         .len();
                 }

@@ -65,7 +65,6 @@ mod design;
 mod error;
 mod explore;
 mod opt;
-mod scc;
 mod sweep;
 
 pub use analysis::{
@@ -86,7 +85,6 @@ pub use opt::{
     area_recovery, area_recovery_with, timing_optimization, timing_optimization_with, IpSelection,
     OptContext, OptStrategy,
 };
-pub use scc::{scc_partition, SccComponent, SccPartition};
 pub use sweep::{
     pareto_sweep, pareto_sweep_cached, pareto_sweep_cancellable, pareto_sweep_with, prune_front,
     sweep_point, SweepOptions, SweepPoint, SweepReport,

@@ -80,50 +80,31 @@ fn cancelled(err: parx::Cancelled, completed: usize, total: usize) -> CliError {
 ///
 /// [`CliError`] on malformed specs.
 pub fn cmd_analyze(spec: &SystemSpec) -> Result<String, CliError> {
-    let design = spec.to_design()?;
-    let report = ermes::analyze_design(&design);
-    render_analysis(&design, &report)
+    analyze_design(&spec.to_design()?, None, None)
 }
 
-/// [`cmd_analyze`] through a shared [`ermes::EngineCache`] (the daemon's
-/// path). The output is bit-identical to [`cmd_analyze`] — the cached
-/// computation is deterministic and the analysis report carries no
-/// run-history state.
+/// The `analyze` command on a built design, shared by the CLI and the
+/// daemon. `cache` memoizes the analysis across requests on the same
+/// base design; `cancel` is polled at analysis iteration boundaries.
+/// The output is bit-identical with or without either.
 ///
 /// # Errors
 ///
-/// [`CliError`] on malformed specs.
-pub fn cmd_analyze_cached(
-    spec: &SystemSpec,
-    cache: &ermes::EngineCache,
+/// [`ermes::ErmesError::Cancelled`] (wrapped) when `cancel` fires
+/// mid-analysis.
+pub fn analyze_design(
+    design: &ermes::Design,
+    cache: Option<&ermes::EngineCache>,
+    cancel: Option<&parx::CancelToken>,
 ) -> Result<String, CliError> {
-    let design = spec.to_design()?;
-    let report = cache.analyze(&design, 1);
-    render_analysis(&design, &report)
-}
-
-/// [`cmd_analyze_cached`] polling a [`parx::CancelToken`] at analysis
-/// iteration boundaries. With a live token the output is bit-identical
-/// to [`cmd_analyze_cached`].
-///
-/// # Errors
-///
-/// [`CliError`] on malformed specs; [`ermes::ErmesError::Cancelled`]
-/// (wrapped) when the token fires mid-analysis.
-pub fn cmd_analyze_cancellable(
-    spec: &SystemSpec,
-    cache: &ermes::EngineCache,
-    cancel: &parx::CancelToken,
-) -> Result<String, CliError> {
-    let design = spec.to_design()?;
-    let report = cache
-        .analyze_cancellable(&design, 1, cancel)
-        .map_err(|e| cancelled(e, 0, 1))?;
-    render_analysis(&design, &report)
-}
-
-fn render_analysis(design: &ermes::Design, report: &ermes::PerfReport) -> Result<String, CliError> {
-    Ok(render_report(design, report, None))
+    let report = match (cache, cancel) {
+        (Some(cache), Some(token)) => cache.analyze_cancellable(design, 1, token),
+        (Some(cache), None) => Ok(cache.analyze(design, 1)),
+        (None, Some(token)) => ermes::analyze_design_cancellable(design, 1, token),
+        (None, None) => Ok(ermes::analyze_design(design)),
+    };
+    let report = report.map_err(|e| cancelled(e, 0, 1))?;
+    Ok(render_report(design, &report, None))
 }
 
 /// Renders a session's cached analysis — byte-identical to
@@ -212,26 +193,12 @@ pub fn cmd_verify(spec: &SystemSpec) -> Result<String, CliError> {
     render_verify_system(&sys, None)
 }
 
-/// [`cmd_verify`] polling a [`parx::CancelToken`] inside both the state
-/// search and the cross-check. With a live token the output is
-/// bit-identical to [`cmd_verify`].
-///
-/// # Errors
-///
-/// [`CliError`] on malformed specs; [`ermes::ErmesError::Cancelled`]
-/// (wrapped) when the token fires mid-verification.
-pub fn cmd_verify_cancellable(
-    spec: &SystemSpec,
-    cancel: &parx::CancelToken,
-) -> Result<String, CliError> {
-    let sys = spec.to_system()?;
-    render_verify_system(&sys, Some(cancel))
-}
-
-/// The one `verify` response composition, shared by the stateless
-/// command and the session endpoint (which verifies its live design
-/// directly). Progress metadata on cancellation counts two steps: the
-/// certifier itself, then the Howard cross-check.
+/// The one `verify` response composition, shared by the CLI, the
+/// stateless endpoint, and the session endpoint (which verifies its
+/// live design directly). `cancel` is polled inside both the state
+/// search and the cross-check; with a live token the output is
+/// bit-identical. Progress metadata on cancellation counts two steps:
+/// the certifier itself, then the Howard cross-check.
 ///
 /// # Errors
 ///
@@ -404,54 +371,32 @@ pub fn cmd_explore(
     jobs: usize,
 ) -> Result<(String, String), CliError> {
     let cache = ermes::EngineCache::new();
-    let (mut out, json) = cmd_explore_cached(spec, target, jobs, &cache)?;
+    let (mut out, json) = explore_design(spec, spec.to_design()?, target, jobs, &cache, None)?;
     out.push_str(&cache_stats_line(&cache.stats()));
     Ok((out, json))
 }
 
-/// [`cmd_explore`] through a shared [`ermes::EngineCache`], without the
-/// trailing per-run cache-statistics line (which would vary with the
-/// cache's warmth and so cannot appear in a bit-stable daemon response;
-/// the daemon serves those counters, aggregated, at `GET /metrics`).
+/// The `explore` command on `spec`'s built design, shared by the CLI
+/// and the daemon: the iteration table and the explored spec, without
+/// the CLI's trailing per-run cache-statistics line (which varies with
+/// the cache's warmth and so cannot appear in a bit-stable daemon
+/// response; the daemon serves those counters, aggregated, at
+/// `GET /metrics`). `cancel` is polled at exploration iteration
+/// boundaries and inside each cycle-time analysis; with a live token
+/// the output is bit-identical.
 ///
 /// # Errors
 ///
-/// [`CliError`] on malformed specs or a deadlocking system.
-pub fn cmd_explore_cached(
+/// [`CliError`] on a deadlocking system, or a fired token
+/// ([`ermes::ErmesError::Cancelled`] with progress metadata).
+pub fn explore_design(
     spec: &SystemSpec,
-    target: u64,
-    jobs: usize,
-    cache: &ermes::EngineCache,
-) -> Result<(String, String), CliError> {
-    explore_inner(spec, target, jobs, cache, None)
-}
-
-/// [`cmd_explore_cached`] polling a [`parx::CancelToken`] at exploration
-/// iteration boundaries (and inside each cycle-time analysis). With a
-/// live token the output is bit-identical to [`cmd_explore_cached`].
-///
-/// # Errors
-///
-/// [`CliError`] on malformed specs, a deadlocking system, or a fired
-/// token ([`ermes::ErmesError::Cancelled`] with progress metadata).
-pub fn cmd_explore_cancellable(
-    spec: &SystemSpec,
-    target: u64,
-    jobs: usize,
-    cache: &ermes::EngineCache,
-    cancel: &parx::CancelToken,
-) -> Result<(String, String), CliError> {
-    explore_inner(spec, target, jobs, cache, Some(cancel))
-}
-
-fn explore_inner(
-    spec: &SystemSpec,
+    design: ermes::Design,
     target: u64,
     jobs: usize,
     cache: &ermes::EngineCache,
     cancel: Option<&parx::CancelToken>,
 ) -> Result<(String, String), CliError> {
-    let design = spec.to_design()?;
     let options = ermes::ExploreOptions {
         jobs,
         cache: Some(cache),
@@ -632,52 +577,27 @@ pub fn cmd_refine(spec: &SystemSpec, passes: usize) -> Result<(String, String), 
 /// [`CliError`] on malformed specs or exploration failure.
 pub fn cmd_sweep(spec: &SystemSpec, targets: &[u64], jobs: usize) -> Result<String, CliError> {
     let cache = ermes::EngineCache::new();
-    let mut out = cmd_sweep_cached(spec, targets, jobs, &cache)?;
+    let mut out = sweep_design(spec.to_design()?, targets, jobs, &cache, None)?;
     out.push_str(&cache_stats_line(&cache.stats()));
     Ok(out)
 }
 
-/// [`cmd_sweep`] through a shared [`ermes::EngineCache`], without the
-/// trailing cache-statistics line (see [`cmd_explore_cached`] for why).
+/// The `sweep` command on a built design, shared by the CLI and the
+/// daemon, without the CLI's trailing cache-statistics line (see
+/// [`explore_design`] for why). `cancel` is polled per target;
+/// cancellation progress counts completed targets in ladder order.
 ///
 /// # Errors
 ///
-/// [`CliError`] on malformed specs or exploration failure.
-pub fn cmd_sweep_cached(
-    spec: &SystemSpec,
-    targets: &[u64],
-    jobs: usize,
-    cache: &ermes::EngineCache,
-) -> Result<String, CliError> {
-    sweep_inner(spec, targets, jobs, cache, None)
-}
-
-/// [`cmd_sweep_cached`] polling a [`parx::CancelToken`]; cancellation
-/// progress counts completed targets in ladder order. With a live token
-/// the output is bit-identical to [`cmd_sweep_cached`].
-///
-/// # Errors
-///
-/// [`CliError`] on malformed specs, exploration failure, or a fired
-/// token ([`ermes::ErmesError::Cancelled`] with progress metadata).
-pub fn cmd_sweep_cancellable(
-    spec: &SystemSpec,
-    targets: &[u64],
-    jobs: usize,
-    cache: &ermes::EngineCache,
-    cancel: &parx::CancelToken,
-) -> Result<String, CliError> {
-    sweep_inner(spec, targets, jobs, cache, Some(cancel))
-}
-
-fn sweep_inner(
-    spec: &SystemSpec,
+/// [`CliError`] on exploration failure or a fired token
+/// ([`ermes::ErmesError::Cancelled`] with progress metadata).
+pub fn sweep_design(
+    design: ermes::Design,
     targets: &[u64],
     jobs: usize,
     cache: &ermes::EngineCache,
     cancel: Option<&parx::CancelToken>,
 ) -> Result<String, CliError> {
-    let design = spec.to_design()?;
     let options = ermes::SweepOptions {
         jobs,
         memoize: true,
@@ -831,7 +751,8 @@ mod tests {
         let spec = parse_spec(SAMPLE).expect("valid");
         let token = parx::CancelToken::new();
         let plain = cmd_verify(&spec).expect("verifies");
-        let cancellable = cmd_verify_cancellable(&spec, &token).expect("verifies");
+        let sys = spec.to_system().expect("valid");
+        let cancellable = render_verify_system(&sys, Some(&token)).expect("verifies");
         assert_eq!(plain, cancellable);
     }
 
@@ -840,7 +761,8 @@ mod tests {
         let spec = parse_spec(SAMPLE).expect("valid");
         let token = parx::CancelToken::new();
         token.cancel(parx::CancelReason::Shutdown);
-        let err = cmd_verify_cancellable(&spec, &token).expect_err("cancelled");
+        let sys = spec.to_system().expect("valid");
+        let err = render_verify_system(&sys, Some(&token)).expect_err("cancelled");
         assert!(matches!(
             err,
             CliError::Ermes(ermes::ErmesError::Cancelled { .. })

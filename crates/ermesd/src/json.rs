@@ -145,7 +145,8 @@ fn write_number(out: &mut String, n: f64) {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+/// Appends `s` as a quoted JSON string.
+pub(crate) fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -197,9 +198,17 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`parse`] accepts. Specs nest five
+/// levels deep; the parser recurses once per level, so the cap is what
+/// keeps a hostile body (a megabyte of `[`) from exhausting the parsing
+/// thread's stack.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -247,8 +256,8 @@ impl<'a> Parser<'a> {
     fn parse_value(&mut self) -> Result<Value, JsonError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(b'{') => self.nested(Self::parse_object),
+            Some(b'[') => self.nested(Self::parse_array),
             Some(b'"') => Ok(Value::String(self.parse_string()?)),
             Some(b't') => self.parse_keyword("true", Value::Bool(true)),
             Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
@@ -257,6 +266,21 @@ impl<'a> Parser<'a> {
             Some(other) => Err(self.error(format!("unexpected character `{}`", other as char))),
             None => Err(self.error("unexpected end of input")),
         }
+    }
+
+    /// Runs a container parser one nesting level down, refusing to go
+    /// past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, JsonError>,
+    ) -> Result<Value, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_keyword(&mut self, word: &str, value: Value) -> Result<Value, JsonError> {
@@ -415,11 +439,13 @@ impl<'a> Parser<'a> {
 ///
 /// # Errors
 ///
-/// [`JsonError`] with line/column on malformed input or trailing garbage.
+/// [`JsonError`] with line/column on malformed input, trailing garbage,
+/// or nesting deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Value, JsonError> {
     let mut parser = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let value = parser.parse_value()?;
     parser.skip_ws();
@@ -480,6 +506,39 @@ mod tests {
         assert_eq!(v.as_u64(), Some(5280));
         assert_eq!(Value::Number(0.25).to_string_pretty(), "0.25");
         assert_eq!(Value::Number(-1.0).as_u64(), None);
+    }
+
+    #[test]
+    fn nesting_is_accepted_up_to_the_cap() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let mut value = parse(&nested(MAX_DEPTH)).expect("at the cap");
+        for _ in 1..MAX_DEPTH {
+            value = value.as_array().expect("array")[0].clone();
+        }
+        assert_eq!(value, Value::Array(Vec::new()));
+        let mixed = format!(
+            "{}1{}",
+            r#"{"a":["#.repeat(MAX_DEPTH / 2),
+            "]}".repeat(MAX_DEPTH / 2)
+        );
+        assert!(parse(&mixed).is_ok());
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_an_error() {
+        let text = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let err = parse(&text).expect_err("one level past the cap");
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "nesting deeper than {MAX_DEPTH} levels at line 1 column {}",
+                MAX_DEPTH + 1
+            )
+        );
+        // A megabyte of `[` fails at the same spot instead of recursing.
+        assert_eq!(parse(&"[".repeat(1 << 20)), Err(err));
+        let objects = format!("{}1", r#"{"a":"#.repeat(MAX_DEPTH + 1));
+        assert!(parse(&objects).is_err());
     }
 
     #[test]

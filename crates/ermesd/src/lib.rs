@@ -134,11 +134,9 @@ pub mod spec;
 
 pub use cluster::ClusterConfig;
 pub use commands::{
-    cmd_analyze, cmd_analyze_cached, cmd_analyze_cancellable, cmd_buffers, cmd_dot, cmd_explore,
-    cmd_explore_cached, cmd_explore_cancellable, cmd_fsm, cmd_order, cmd_refine, cmd_simulate,
-    cmd_simulate_traced, cmd_stalls, cmd_sweep, cmd_sweep_cached, cmd_sweep_cancellable,
-    cmd_verify, cmd_verify_cancellable, parse_spec, render_session_report, render_verify_system,
-    CliError,
+    analyze_design, cmd_analyze, cmd_buffers, cmd_dot, cmd_explore, cmd_fsm, cmd_order, cmd_refine,
+    cmd_simulate, cmd_simulate_traced, cmd_stalls, cmd_sweep, cmd_verify, explore_design,
+    parse_spec, render_session_report, render_verify_system, sweep_design, CliError,
 };
 pub use server::{Server, ServerConfig};
 pub use spec::{ChannelSpec, ParetoPointSpec, ProcessSpec, SpecError, SystemSpec};

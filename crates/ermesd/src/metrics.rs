@@ -391,6 +391,36 @@ impl Metrics {
     }
 }
 
+/// Opens up the per-base-design cache LRU: one `ermes_cache_entries`
+/// gauge and one `ermes_cache_evictions_total` counter per live design,
+/// labelled with the design's spec fingerprint.
+pub(crate) fn render_per_design_cache(per_design: &[(String, usize, u64)]) -> String {
+    let mut out = String::new();
+    if per_design.is_empty() {
+        return out;
+    }
+    let _ = writeln!(
+        out,
+        "# HELP ermes_cache_entries Memoized results stored, per base design.\n\
+         # TYPE ermes_cache_entries gauge"
+    );
+    for (design, entries, _) in per_design {
+        let _ = writeln!(out, "ermes_cache_entries{{design=\"{design}\"}} {entries}");
+    }
+    let _ = writeln!(
+        out,
+        "# HELP ermes_cache_evictions_total Engine-cache LRU evictions, per base design.\n\
+         # TYPE ermes_cache_evictions_total counter"
+    );
+    for (design, _, evictions) in per_design {
+        let _ = writeln!(
+            out,
+            "ermes_cache_evictions_total{{design=\"{design}\"}} {evictions}"
+        );
+    }
+    out
+}
+
 /// Renders the engine's per-phase time histograms
 /// (`ermes_phase_seconds{phase=...}`) from the tracing layer's
 /// process-wide aggregates. Phases are span names (`howard`, `ilp`,

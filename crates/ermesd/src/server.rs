@@ -37,18 +37,19 @@
 //! `design_cache_capacity * cache_capacity` entries regardless of uptime.
 
 use crate::cluster::{
-    parse_point_wire, parse_trace_header, render_point_wire, shard_key, Cluster, ClusterConfig,
+    fnv1a, parse_point_wire, parse_trace_header, render_point_wire, shard_key, Cluster,
+    ClusterConfig,
 };
 use crate::commands::{
-    cmd_analyze_cancellable, cmd_explore_cancellable, cmd_order, cmd_sweep_cancellable,
-    cmd_verify_cancellable, render_session_report, render_sweep_front, render_verify_system,
-    CliError,
+    analyze_design, cmd_order, explore_design, parse_spec, render_session_report,
+    render_sweep_front, render_verify_system, sweep_design, CliError,
 };
 use crate::http::{read_request, ClientResponse, ReadError, Request, Response};
+use crate::json::write_escaped;
 use crate::metrics::Metrics;
 use crate::session::{apply_edit, parse_edit, SessionStore};
 use crate::spec::SystemSpec;
-use ermes::{CacheStats, EngineCache};
+use ermes::{CacheStats, DeltaState, Design, EngineCache};
 use parx::{CancelReason, CancelToken};
 use std::collections::HashMap;
 use std::io::{self, BufReader, Write as _};
@@ -180,26 +181,7 @@ impl CacheLru {
 /// Short stable identifier for a base design, for metric labels: FNV-1a
 /// over the canonical spec JSON the [`CacheLru`] is keyed by.
 fn design_fingerprint(key: &str) -> String {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in key.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("{hash:016x}")
-}
-
-/// Why an analysis request was not executed (or executed but produced
-/// no result).
-enum Shed {
-    /// The admission queue was full.
-    QueueFull,
-    /// The request's deadline passed before a worker picked it up.
-    Deadline,
-    /// The server is draining.
-    ShuttingDown,
-    /// The job panicked on its worker. The panic was caught by the pool,
-    /// the worker was respawned, and only this request is affected.
-    JobPanicked,
+    format!("{:016x}", fnv1a(key.as_bytes()))
 }
 
 struct Inner {
@@ -221,6 +203,14 @@ struct Inner {
 }
 
 impl Inner {
+    /// The warm engine cache of `spec`'s base design. The canonical JSON
+    /// key is built under the LRU lock, so concurrent requests for a
+    /// large spec never hold more than one such copy at a time.
+    fn cache_for(&self, spec: &SystemSpec) -> Arc<EngineCache> {
+        let mut caches = self.caches.lock().expect("cache lru poisoned");
+        caches.get(&spec.to_json_pretty())
+    }
+
     /// Runs `job` on the worker pool, waiting for its result. While the
     /// job runs, the connection socket (when given) is polled for EOF so
     /// a client that hangs up cancels its own in-flight work via
@@ -232,22 +222,22 @@ impl Inner {
         deadline: Option<Instant>,
         cancel: &CancelToken,
         conn: Option<&TcpStream>,
-        job: impl FnOnce() -> T + Send + 'static,
-    ) -> Result<T, Shed> {
+        job: impl FnOnce() -> Result<T, Failure> + Send + 'static,
+    ) -> Result<T, Failure> {
         let (tx, rx) = mpsc::channel();
         {
             let pool = self.pool.lock().expect("pool slot poisoned");
             let Some(pool) = pool.as_ref() else {
-                return Err(Shed::ShuttingDown);
+                return Err(Failure::Draining);
             };
             pool.try_submit(move || {
                 if deadline.is_some_and(|d| Instant::now() > d) {
-                    let _ = tx.send(Err(Shed::Deadline));
+                    let _ = tx.send(Err(Failure::Expired));
                 } else {
-                    let _ = tx.send(Ok(job()));
+                    let _ = tx.send(job());
                 }
             })
-            .map_err(|_| Shed::QueueFull)?;
+            .map_err(|_| Failure::QueueFull)?;
         }
         loop {
             match rx.recv_timeout(DISCONNECT_POLL_INTERVAL) {
@@ -255,7 +245,7 @@ impl Inner {
                 // The sender was dropped without sending: the job
                 // panicked mid-execution (the pool caught it and
                 // respawned the worker).
-                Err(mpsc::RecvTimeoutError::Disconnected) => return Err(Shed::JobPanicked),
+                Err(mpsc::RecvTimeoutError::Disconnected) => return Err(Failure::Panic),
                 Err(mpsc::RecvTimeoutError::Timeout) => {
                     if peer_disconnected(conn) {
                         cancel.cancel(CancelReason::Disconnected);
@@ -425,28 +415,17 @@ fn handle_connection(inner: &Inner, stream: TcpStream, server_addr: SocketAddr) 
             Ok(req) => {
                 let guard = ActiveGuard::enter(inner);
                 let started = Instant::now();
-                let outcome = route(inner, &req, Some(&writer));
-                let endpoint = outcome.endpoint;
+                let (endpoint, timed, reply) = dispatch(inner, &req, Some(&writer));
                 inner
                     .metrics
-                    .record_request(endpoint, outcome.response.status);
-                if matches!(
-                    endpoint,
-                    "analyze"
-                        | "order"
-                        | "explore"
-                        | "sweep"
-                        | "verify"
-                        | "session_open"
-                        | "session_edit"
-                        | "session_verify"
-                ) {
+                    .record_request(endpoint, reply.response.status);
+                if timed {
                     inner.metrics.observe_latency(endpoint, started.elapsed());
                 }
-                let keep = req.keep_alive() && !outcome.close_after;
-                let write_ok = outcome.response.write_to(&mut writer, keep).is_ok();
+                let keep = req.keep_alive() && !reply.close_after;
+                let write_ok = reply.response.write_to(&mut writer, keep).is_ok();
                 drop(guard);
-                if outcome.initiate_shutdown {
+                if reply.initiate_shutdown {
                     initiate_shutdown(inner, server_addr);
                 }
                 if !write_ok || !keep {
@@ -474,95 +453,138 @@ fn initiate_shutdown(inner: &Inner, addr: SocketAddr) {
     }
 }
 
-struct Outcome {
+/// A request's answer, and what the connection does after writing it.
+struct Reply {
     response: Response,
-    endpoint: &'static str,
     close_after: bool,
     initiate_shutdown: bool,
 }
 
-impl Outcome {
-    fn reply(endpoint: &'static str, response: Response) -> Outcome {
-        Outcome {
+impl From<Response> for Reply {
+    fn from(response: Response) -> Reply {
+        Reply {
             response,
-            endpoint,
             close_after: false,
             initiate_shutdown: false,
         }
     }
 }
 
-fn route(inner: &Inner, req: &Request, conn: Option<&TcpStream>) -> Outcome {
-    match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => Outcome::reply("healthz", healthz_response(inner)),
-        ("GET", "/metrics") => Outcome::reply("metrics", metrics_response(inner)),
-        ("GET", "/trace") => Outcome::reply("trace", trace_response(req)),
-        ("GET", "/trace/slow") => Outcome::reply("trace_slow", trace_slow_response(req)),
-        ("POST", "/shutdown") => Outcome {
-            response: Response::text(200, "draining\n"),
-            endpoint: "shutdown",
-            close_after: true,
-            initiate_shutdown: true,
-        },
-        ("POST", "/analyze") => analysis_endpoint(inner, req, "analyze", conn),
-        ("POST", "/order") => analysis_endpoint(inner, req, "order", conn),
-        ("POST", "/explore") => analysis_endpoint(inner, req, "explore", conn),
-        ("POST", "/sweep") => analysis_endpoint(inner, req, "sweep", conn),
-        ("POST", "/verify") => analysis_endpoint(inner, req, "verify", conn),
-        ("POST", "/shard/sweeppoint") => shard_sweep_point_endpoint(inner, req, conn),
-        ("POST", "/session") => session_open_endpoint(inner, req, conn),
-        (method, path) if path == "/session" || path.starts_with("/session/") => {
-            session_route(inner, method, path, req, conn)
-        }
-        // Known paths with the wrong method: 405 with the allowed verb,
-        // never a 404 (the resource exists; the method is the problem).
-        (_, "/healthz" | "/metrics" | "/trace" | "/trace/slow") => {
-            Outcome::reply("other", method_not_allowed("GET"))
-        }
-        (
-            _,
-            "/shutdown" | "/analyze" | "/order" | "/explore" | "/sweep" | "/verify"
-            | "/shard/sweeppoint",
-        ) => Outcome::reply("other", method_not_allowed("POST")),
-        _ => Outcome::reply("other", Response::text(404, "no such endpoint\n")),
-    }
+/// A handler's reply, or the `4xx` its parse step turned the request
+/// away with.
+type Handled = Result<Reply, Response>;
+
+/// How an endpoint is served.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    /// Answered on the connection thread from server state.
+    Plain,
+    /// A job through [`Ctx::serve`]; records `ermesd_request_seconds`.
+    Job,
+    /// A job that also joins its caller's trace: it adopts the
+    /// `x-ermes-trace` context and, asked by `x-ermes-trace-tree`,
+    /// returns its span tree behind the response — how a coordinator
+    /// stitches one tree across nodes.
+    Stitched,
 }
 
-/// A `405` naming the method the path does support, per RFC 9110 §15.5.6
-/// (the `Allow` header is mandatory on 405).
-fn method_not_allowed(allow: &'static str) -> Response {
-    let mut response = Response::text(405, "method not allowed\n");
-    response.extra_headers.push(("allow", allow.to_string()));
-    response
+/// One route: method, path (`{id}` stands for a session id), the
+/// `endpoint` label on `/metrics` and the `request` span, how it is
+/// served, and its handler.
+#[rustfmt::skip]
+type Endpoint = (&'static str, &'static str, &'static str, Kind, fn(&Ctx) -> Handled);
+
+#[rustfmt::skip]
+static ENDPOINTS: [Endpoint; 15] = [
+    ("GET",    "/healthz",             "healthz",          Kind::Plain,    healthz),
+    ("GET",    "/metrics",             "metrics",          Kind::Plain,    metrics),
+    ("GET",    "/trace",               "trace",            Kind::Plain,    trace_recent),
+    ("GET",    "/trace/slow",          "trace_slow",       Kind::Plain,    trace_slow),
+    ("POST",   "/shutdown",            "shutdown",         Kind::Plain,    shutdown),
+    ("POST",   "/analyze",             "analyze",          Kind::Stitched, analyze),
+    ("POST",   "/order",               "order",            Kind::Stitched, order),
+    ("POST",   "/explore",             "explore",          Kind::Stitched, explore),
+    ("POST",   "/sweep",               "sweep",            Kind::Stitched, sweep),
+    ("POST",   "/verify",              "verify",           Kind::Stitched, verify),
+    ("POST",   "/shard/sweeppoint",    "shard_sweeppoint", Kind::Stitched, sweep_point),
+    ("POST",   "/session",             "session_open",     Kind::Job,      session_open),
+    ("POST",   "/session/{id}/edit",   "session_edit",     Kind::Job,      session_edit),
+    ("POST",   "/session/{id}/verify", "session_verify",   Kind::Job,      session_verify),
+    ("DELETE", "/session/{id}",        "session_close",    Kind::Plain,    session_close),
+];
+
+/// Routes `req` through [`ENDPOINTS`] and runs its handler. Returns the
+/// `endpoint` label, whether the endpoint records latency, and the
+/// reply. A listed path requested with another method is a `405` naming
+/// the method it supports — the resource exists, the method is the
+/// problem (RFC 9110 §15.5.6 makes `Allow` mandatory); anything else is
+/// a `404`.
+fn dispatch(inner: &Inner, req: &Request, conn: Option<&TcpStream>) -> (&'static str, bool, Reply) {
+    let mut allow = None;
+    for &(method, path, endpoint, kind, handler) in &ENDPOINTS {
+        let id = match path.split_once("{id}") {
+            None => (path == req.path).then_some(0),
+            Some((prefix, suffix)) => req
+                .path
+                .strip_prefix(prefix)
+                .and_then(|rest| rest.strip_suffix(suffix).and_then(|id| id.parse().ok())),
+        };
+        let Some(id) = id else { continue };
+        if method != req.method {
+            allow = Some(method);
+            continue;
+        }
+        let stitched = kind == Kind::Stitched;
+        // A coordinator forwarding here propagates its trace position;
+        // adopting it makes this node's request span a child of the
+        // coordinator's dispatch span (in id space — the span itself
+        // ships back in the tree trailer). Absent or malformed headers
+        // adopt the inactive context, a no-op.
+        let _adopted =
+            stitched.then(|| trace::adopt(parse_trace_header(req.header("x-ermes-trace"))));
+        let cx = Ctx {
+            inner,
+            req,
+            conn,
+            endpoint,
+            id,
+            want_tree: stitched && req.header("x-ermes-trace-tree").is_some(),
+        };
+        return (
+            endpoint,
+            kind != Kind::Plain,
+            handler(&cx).unwrap_or_else(Reply::from),
+        );
+    }
+    let response = match allow {
+        Some(method) => {
+            let mut response = Response::text(405, "method not allowed\n");
+            response.extra_headers.push(("allow", method.to_string()));
+            response
+        }
+        None => Response::text(404, "no such endpoint\n"),
+    };
+    ("other", false, response.into())
 }
 
-/// Dispatches `/session` (wrong method) and `/session/{id}[/edit]`.
-fn session_route(
-    inner: &Inner,
-    method: &str,
-    path: &str,
-    req: &Request,
-    conn: Option<&TcpStream>,
-) -> Outcome {
-    let Some(tail) = path.strip_prefix("/session/") else {
-        // `/session` with a non-POST method.
-        return Outcome::reply("other", method_not_allowed("POST"));
-    };
-    let (id_text, action) = match tail.split_once('/') {
-        None => (tail, None),
-        Some((id, action)) => (id, Some(action)),
-    };
-    let Ok(id) = id_text.parse::<u64>() else {
-        return Outcome::reply("other", Response::text(404, "no such endpoint\n"));
-    };
-    match (method, action) {
-        ("POST", Some("edit")) => session_edit_endpoint(inner, req, id, conn),
-        ("POST", Some("verify")) => session_verify_endpoint(inner, req, id, conn),
-        ("DELETE", None) => session_close_endpoint(inner, id),
-        (_, Some("edit" | "verify")) => Outcome::reply("other", method_not_allowed("POST")),
-        (_, None) => Outcome::reply("other", method_not_allowed("DELETE")),
-        _ => Outcome::reply("other", Response::text(404, "no such endpoint\n")),
-    }
+/// One routed request, as its handler sees it.
+struct Ctx<'a> {
+    inner: &'a Inner,
+    req: &'a Request,
+    conn: Option<&'a TcpStream>,
+    endpoint: &'static str,
+    /// The path's session `{id}` (0 on other routes).
+    id: u64,
+    /// Append this request's span tree to the response.
+    want_tree: bool,
+}
+
+fn shutdown(_: &Ctx) -> Handled {
+    Ok(Reply {
+        response: Response::text(200, "draining\n"),
+        close_after: true,
+        initiate_shutdown: true,
+    })
 }
 
 /// Liveness with per-component detail. The first line stays exactly
@@ -572,8 +594,9 @@ fn session_route(
 /// before its thread exits, so health stays green across panics — the
 /// restart counter is how an operator notices them. In coordinator mode
 /// the fleet's health states and the degraded-fallback count follow.
-fn healthz_response(inner: &Inner) -> Response {
+fn healthz(cx: &Ctx) -> Handled {
     use std::fmt::Write as _;
+    let inner = cx.inner;
     let (alive, workers, restarts, queue_depth) = {
         let pool = inner.pool.lock().expect("pool slot poisoned");
         pool.as_ref().map_or((0, 0, 0, 0), |p| {
@@ -611,10 +634,11 @@ fn healthz_response(inner: &Inner) -> Response {
             cluster.metrics.degraded_total()
         );
     }
-    Response::text(200, body)
+    Ok(Reply::from(Response::text(200, body)))
 }
 
-fn metrics_response(inner: &Inner) -> Response {
+fn metrics(cx: &Ctx) -> Handled {
+    let inner = cx.inner;
     let (queue_depth, running, workers, alive, restarts) = {
         let pool = inner.pool.lock().expect("pool slot poisoned");
         pool.as_ref().map_or((0, 0, 0, 0, 0), |p| {
@@ -769,7 +793,7 @@ fn metrics_response(inner: &Inner) -> Response {
         sampled_counters.extend(cluster.metrics.sampled());
     }
     let mut body = inner.metrics.render(&gauges, &sampled_counters);
-    body.push_str(&render_per_design_cache(&per_design));
+    body.push_str(&crate::metrics::render_per_design_cache(&per_design));
     body.push_str(&crate::metrics::render_phase_histograms());
     // Coordinator mode: federate every reachable worker's exposition,
     // each sample gaining a `node` label, so one scrape of the
@@ -779,46 +803,16 @@ fn metrics_response(inner: &Inner) -> Response {
             body.push_str(&crate::metrics::federate_exposition(&addr, &exposition));
         }
     }
-    Response::text(200, body)
-}
-
-/// Opens up the per-base-design cache LRU: one `ermes_cache_entries`
-/// gauge and one `ermes_cache_evictions_total` counter per live design,
-/// labelled with the design's spec fingerprint.
-fn render_per_design_cache(per_design: &[(String, usize, u64)]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    if per_design.is_empty() {
-        return out;
-    }
-    let _ = writeln!(
-        out,
-        "# HELP ermes_cache_entries Memoized results stored, per base design.\n\
-         # TYPE ermes_cache_entries gauge"
-    );
-    for (design, entries, _) in per_design {
-        let _ = writeln!(out, "ermes_cache_entries{{design=\"{design}\"}} {entries}");
-    }
-    let _ = writeln!(
-        out,
-        "# HELP ermes_cache_evictions_total Engine-cache LRU evictions, per base design.\n\
-         # TYPE ermes_cache_evictions_total counter"
-    );
-    for (design, _, evictions) in per_design {
-        let _ = writeln!(
-            out,
-            "ermes_cache_evictions_total{{design=\"{design}\"}} {evictions}"
-        );
-    }
-    out
+    Ok(Reply::from(Response::text(200, body)))
 }
 
 /// `GET /trace`: the last `n` (default 32, `?n=` to override, capped at
 /// the journal capacity) completed job span trees, as JSON. Trees for
 /// cancelled or panicked jobs are present too, truncated where work
 /// stopped and tagged with `outcome` on the root span.
-fn trace_response(req: &Request) -> Response {
-    let n = req
+fn trace_recent(cx: &Ctx) -> Handled {
+    let n = cx
+        .req
         .query_param("n")
         .and_then(|v| v.parse::<usize>().ok())
         .unwrap_or(32)
@@ -834,16 +828,17 @@ fn trace_response(req: &Request) -> Response {
     out.push_str("]\n");
     let mut response = Response::text(200, out);
     response.content_type = "application/json";
-    response
+    Ok(Reply::from(response))
 }
 
 /// `GET /trace/slow`: the flight recorder's retained trees — requests
 /// that were slow (rolling per-endpoint p99 exceeders), errored,
 /// panicked, degraded, or retried — oldest first, each wrapped with its
 /// retention reason. `?n=` caps to the newest `n`.
-fn trace_slow_response(req: &Request) -> Response {
+fn trace_slow(cx: &Ctx) -> Handled {
     use std::fmt::Write as _;
-    let n = req
+    let n = cx
+        .req
         .query_param("n")
         .and_then(|v| v.parse::<usize>().ok())
         .unwrap_or(trace::flight::DEFAULT_FLIGHT_CAPACITY)
@@ -855,19 +850,16 @@ fn trace_slow_response(req: &Request) -> Response {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(
-            out,
-            "{{\"seq\":{},\"reason\":\"{}\",\"tree\":",
-            entry.seq,
-            json_escape(entry.reason)
-        );
+        let _ = write!(out, "{{\"seq\":{},\"reason\":", entry.seq);
+        write_escaped(&mut out, entry.reason);
+        out.push_str(",\"tree\":");
         write_tree_json(&mut out, &entry.tree);
         out.push('}');
     }
     out.push_str("]\n");
     let mut response = Response::text(200, out);
     response.content_type = "application/json";
-    response
+    Ok(Reply::from(response))
 }
 
 /// Appends this request's completed span tree to a response body, in
@@ -891,10 +883,11 @@ fn append_tree_trailer(response: &mut Response, root_id: u64) {
 fn write_tree_json(out: &mut String, tree: &trace::SpanTree) {
     use std::fmt::Write as _;
     let r = &tree.record;
+    out.push_str("{\"name\":");
+    write_escaped(out, r.name);
     let _ = write!(
         out,
-        "{{\"name\":\"{}\",\"id\":{},\"parent\":{},\"thread\":{},\"start_ns\":{},\"end_ns\":{},\"duration_ns\":{}",
-        json_escape(r.name),
+        ",\"id\":{},\"parent\":{},\"thread\":{},\"start_ns\":{},\"end_ns\":{},\"duration_ns\":{}",
         r.id,
         r.parent,
         r.thread,
@@ -908,7 +901,9 @@ fn write_tree_json(out: &mut String, tree: &trace::SpanTree) {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{}\":\"{}\"", json_escape(k), json_escape(v));
+            write_escaped(out, k);
+            out.push(':');
+            write_escaped(out, v);
         }
         out.push('}');
     }
@@ -922,129 +917,270 @@ fn write_tree_json(out: &mut String, tree: &trace::SpanTree) {
     out.push_str("]}");
 }
 
-fn json_escape(s: &str) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
+/// Why a request's work produced no result. With success, this is the
+/// whole outcome taxonomy: [`outcome_label`] names each case on the
+/// `request` span and [`Ctx::respond`] maps it to its status, headers
+/// and metric counters (the table in DESIGN.md §6).
+enum Failure {
+    /// A deterministic verdict, already rendered: bad input (`400`), a
+    /// failed methodology (`422`), or one a coordinator relays.
+    Error(Response),
+    /// The work saw its token fire mid-run: why, and how many of how
+    /// many steps it had completed.
+    Cancelled(CancelReason, usize, usize),
+    /// Shed: the admission queue was full.
+    QueueFull,
+    /// Shed: the deadline passed before a worker picked the job up.
+    Expired,
+    /// Shed: the server is draining.
+    Draining,
+    /// The job panicked on its worker. The pool caught the panic and
+    /// respawned the worker; only this request is affected.
+    Panic,
+    /// The session's lock was poisoned by an earlier job that panicked
+    /// holding it.
+    Poisoned,
+    /// The cluster could not serve the work; it runs locally instead.
+    Degraded,
 }
 
-/// Parses, admits, and executes one analysis request end to end.
-fn analysis_endpoint(
-    inner: &Inner,
-    req: &Request,
-    endpoint: &'static str,
-    conn: Option<&TcpStream>,
-) -> Outcome {
-    // A coordinator forwarding `/explore` propagates its trace position;
-    // adopting it makes this worker's request span a child of the
-    // coordinator's dispatch span (in id space — the span itself ships
-    // back via the tree trailer below). Absent or malformed headers
-    // adopt the inactive context, a no-op.
-    let _adopted = trace::adopt(parse_trace_header(req.header("x-ermes-trace")));
-    let want_tree = req.header("x-ermes-trace-tree").is_some();
-    let body = match std::str::from_utf8(&req.body) {
-        Ok(text) => text,
-        Err(_) => {
-            return Outcome::reply(endpoint, Response::text(400, "body is not UTF-8\n"));
+impl From<CliError> for Failure {
+    fn from(e: CliError) -> Failure {
+        match e {
+            CliError::Ermes(ermes::ErmesError::Cancelled {
+                reason,
+                completed,
+                total,
+            }) => Failure::Cancelled(reason, completed, total),
+            CliError::Ermes(_) => Failure::Error(Response::text(422, format!("{e}\n"))),
+            CliError::Json(_) | CliError::Spec(_) | CliError::Usage(_) => {
+                Failure::Error(bad_request(e))
+            }
         }
-    };
-    let spec = match crate::commands::parse_spec(body) {
-        Ok(spec) => spec,
-        Err(e) => {
-            return Outcome::reply(endpoint, Response::text(400, format!("{e}\n")));
-        }
-    };
-    // Validate model-level constraints up front so schema errors never
-    // consume a worker slot.
-    if let Err(e) = spec.to_design() {
-        return Outcome::reply(endpoint, Response::text(400, format!("spec error: {e}\n")));
     }
-    let params = match AnalysisParams::from_request(req, endpoint, inner.default_deadline_ms) {
-        Ok(params) => params,
-        Err(msg) => return Outcome::reply(endpoint, Response::text(400, msg + "\n")),
-    };
-    // Coordinator mode: exploration work is fanned out to the worker
-    // fleet. `None` from the forwarders means the cluster could not
-    // serve the job (degraded mode) — fall through and run it locally,
-    // exactly as a single-node daemon would.
-    if let Some(cluster) = &inner.cluster {
-        let forwarded = match endpoint {
-            "explore" => forward_explore(req, cluster, &spec, &params),
-            "sweep" => coordinator_sweep(inner, cluster, &spec, &params),
-            _ => None,
+}
+
+impl From<ermes::ErmesError> for Failure {
+    fn from(e: ermes::ErmesError) -> Failure {
+        Failure::from(CliError::Ermes(e))
+    }
+}
+
+/// The `outcome` attribute of a request span.
+fn outcome_label<T>(result: &Result<T, Failure>) -> &'static str {
+    match result {
+        Ok(_) => "ok",
+        Err(Failure::Error(_)) => "error",
+        Err(Failure::Cancelled(..)) => "cancelled",
+        Err(Failure::QueueFull | Failure::Expired | Failure::Draining) => "shed",
+        Err(Failure::Panic) => "panic",
+        Err(Failure::Poisoned) => "poisoned",
+        Err(Failure::Degraded) => "degraded",
+    }
+}
+
+fn bad_request(message: impl std::fmt::Display) -> Response {
+    Response::text(400, format!("{message}\n"))
+}
+
+/// One request's work, as its endpoint hands it to [`Ctx::serve`].
+struct Job<'a, T> {
+    deadline: Option<Instant>,
+    /// An extra `request` span attribute: `target`, `session`,
+    /// `forwarded` or `fanout`.
+    attr: Option<(&'static str, u64)>,
+    session: Option<OnSession>,
+    work: Work<'a, T>,
+}
+
+/// The live session a job runs on, and the `500` body a panic leaves. A
+/// panic, or a lock an earlier panic poisoned, drops the session.
+type OnSession = (u64, fn(u64) -> String);
+
+/// Where a job's work runs.
+enum Work<'a, T> {
+    /// On the worker pool: admission control, the deadline, disconnect
+    /// polling and panic isolation.
+    Pool(Run<'static, T>),
+    /// On the connection thread: the coordinator's network-bound
+    /// fan-out, which must not hold a pool slot.
+    Here(Run<'a, T>),
+}
+
+/// A job's work, handed the request's [`CancelToken`].
+type Run<'a, T> = Box<dyn FnOnce(&CancelToken) -> Result<T, Failure> + Send + 'a>;
+
+impl<T> Job<'_, T> {
+    fn pool(
+        deadline: Option<Instant>,
+        run: impl FnOnce(&CancelToken) -> Result<T, Failure> + Send + 'static,
+    ) -> Self {
+        Job {
+            deadline,
+            attr: None,
+            session: None,
+            work: Work::Pool(Box::new(run)),
+        }
+    }
+}
+
+impl Ctx<'_> {
+    /// The one request path: runs `job` under the `request` span, then
+    /// answers with `render` of its result, or with its failure.
+    fn serve<T: Send + 'static>(
+        &self,
+        job: Job<'_, T>,
+        render: impl FnOnce(T) -> Response,
+    ) -> Reply {
+        let session = job.session;
+        let (result, tree) = self.execute(job);
+        let mut reply = self.respond(result, session, render);
+        if let Some(root_id) = tree {
+            append_tree_trailer(&mut reply.response, root_id);
+        }
+        reply
+    }
+
+    /// Opens the `request` span, runs the job's work under the request's
+    /// token, and labels how it ended. The span is open while the work
+    /// is submitted, so the worker's engine spans parent under it, and
+    /// closes once the work has yielded: a tree is "completed" even when
+    /// its job was cancelled or panicked. Also returns the span's id when
+    /// its tree goes behind the response (pool work only).
+    fn execute<T: Send + 'static>(&self, job: Job<'_, T>) -> (Result<T, Failure>, Option<u64>) {
+        // One token per request: it self-cancels when the deadline
+        // passes mid-run, and the connection poll in `run_job` cancels
+        // it when the client hangs up. Jobs poll it at iteration
+        // boundaries.
+        let cancel = CancelToken::with_deadline(job.deadline);
+        let request_span = trace::span("request");
+        trace::attr("endpoint", self.endpoint);
+        if let Some((key, value)) = job.attr {
+            trace::attr(key, value);
+        }
+        let (result, tree) = match job.work {
+            Work::Pool(run) => {
+                let tree = self.want_tree.then(|| trace::current_context().parent());
+                let token = cancel.clone();
+                let result = self
+                    .inner
+                    .run_job(job.deadline, &cancel, self.conn, move || run(&token));
+                (result, tree)
+            }
+            Work::Here(run) => (run(&cancel), None),
         };
-        if let Some(response) = forwarded {
-            let close_after = response.status == 499;
-            return Outcome {
-                response,
-                endpoint,
-                close_after,
-                initiate_shutdown: false,
-            };
+        trace::attr("outcome", outcome_label(&result));
+        drop(request_span);
+        (result, tree)
+    }
+
+    /// Maps a job's result to its reply: `render` of a success, or the
+    /// failure's status, headers and metric counters.
+    fn respond<T>(
+        &self,
+        result: Result<T, Failure>,
+        session: Option<OnSession>,
+        render: impl FnOnce(T) -> Response,
+    ) -> Reply {
+        let inner = self.inner;
+        let panicked = matches!(result, Err(Failure::Panic));
+        let response = match result {
+            Ok(value) => render(value),
+            Err(Failure::Error(response)) => response,
+            Err(Failure::Cancelled(reason, completed, total)) => {
+                cancelled_response(inner, reason, completed, total)
+            }
+            Err(Failure::QueueFull) => {
+                inner.metrics.record_shed(true);
+                too_many_requests(inner, "admission queue full; retry later\n")
+            }
+            Err(Failure::Expired) => {
+                inner.metrics.record_shed(false);
+                too_many_requests(inner, "deadline expired before a worker was free\n")
+            }
+            Err(Failure::Draining) => Response::text(503, "server is draining\n"),
+            Err(Failure::Panic | Failure::Poisoned) => {
+                if panicked {
+                    inner.metrics.record_job_panicked();
+                }
+                // A session's state may be half-edited: it is dropped.
+                if let Some((id, _)) = session {
+                    inner.sessions.remove(id, &inner.sessions.dropped);
+                }
+                Response::text(
+                    500,
+                    match session {
+                        None => {
+                            "analysis worker panicked on this request; worker restarted\n".into()
+                        }
+                        Some((id, panic_body)) if panicked => panic_body(id),
+                        Some((id, _)) => format!(
+                            "session {id} was corrupted by a panicked edit and has been dropped\n"
+                        ),
+                    },
+                )
+            }
+            Err(Failure::Degraded) => unreachable!("degraded work falls back to a local run"),
+        };
+        // A 499 means the client is gone; drop the connection after the
+        // (best-effort) write instead of waiting for another request.
+        Reply {
+            close_after: response.status == 499,
+            ..Reply::from(response)
         }
     }
-    let cache = inner
-        .caches
-        .lock()
-        .expect("cache lru poisoned")
-        .get(&spec.to_json_pretty());
-    let deadline = params.deadline;
-    // One token per request: it self-cancels when the deadline passes
-    // mid-run, and the connection poll in `run_job` cancels it when the
-    // client hangs up. The job polls it at iteration boundaries.
-    let cancel = CancelToken::with_deadline(deadline);
-    let job_token = cancel.clone();
-    // Root span of this request's trace tree. It is open on this thread
-    // while the job is submitted, so `Pool::try_submit` captures it and
-    // the worker's engine spans parent under it; it closes here, after
-    // the job has yielded, which is what makes a tree "completed" —
-    // including truncated trees of cancelled and panicked jobs.
-    let request_span = trace::span("request");
-    trace::attr("endpoint", endpoint);
-    let root_id = trace::current_context().parent();
-    let job = move || run_command(endpoint, &spec, &params, &cache, &job_token);
-    let result = inner.run_job(deadline, &cancel, conn, job);
-    trace::attr(
-        "outcome",
-        match &result {
-            Ok(Ok(_)) => "ok",
-            Ok(Err(CliError::Ermes(ermes::ErmesError::Cancelled { .. }))) => "cancelled",
-            Ok(Err(_)) => "error",
-            Err(Shed::JobPanicked) => "panic",
-            Err(_) => "shed",
-        },
-    );
-    drop(request_span);
-    let mut response = match result {
-        Ok(Ok(body)) => Response::text(200, body),
-        Ok(Err(e)) => error_response(inner, &e),
-        Err(shed) => shed_response(inner, &shed),
-    };
-    if want_tree {
-        append_tree_trailer(&mut response, root_id);
+
+    fn deadline(&self) -> Result<Option<Instant>, Response> {
+        request_deadline(self.req, self.inner.default_deadline_ms).map_err(bad_request)
     }
-    // A 499 means the client is gone; drop the connection after the
-    // (best-effort) write instead of waiting for another request.
-    let close_after = response.status == 499;
-    Outcome {
-        response,
-        endpoint,
-        close_after,
-        initiate_shutdown: false,
+
+    /// The live session the path names; `404` when there is none.
+    fn session(&self) -> Result<Arc<Mutex<DeltaState>>, Response> {
+        let id = self.id;
+        let session = self.inner.sessions.get(id);
+        session.ok_or_else(|| Response::text(404, format!("no session {id}\n")))
     }
+
+    /// A pool job on `session`, run under its lock.
+    fn session_job<T: Send + 'static>(
+        &self,
+        session: Arc<Mutex<DeltaState>>,
+        deadline: Option<Instant>,
+        panic_body: fn(u64) -> String,
+        run: impl FnOnce(&mut DeltaState, &CancelToken) -> Result<T, CliError> + Send + 'static,
+    ) -> Job<'static, T> {
+        let job = Job::pool(deadline, move |cancel| {
+            let mut state = session.lock().map_err(|_| Failure::Poisoned)?;
+            Ok(run(&mut state, cancel)?)
+        });
+        Job {
+            attr: Some(("session", self.id)),
+            session: Some((self.id, panic_body)),
+            ..job
+        }
+    }
+}
+
+/// Decodes a posted spec and builds its design — once: the design moves
+/// into the job. Model-level constraints are checked here, so schema
+/// errors never consume a worker slot.
+fn spec_input(req: &Request) -> Result<(SystemSpec, Design), Response> {
+    let spec = parse_spec(body_text(req)?).map_err(bad_request)?;
+    match spec.to_design() {
+        Ok(design) => Ok((spec, design)),
+        Err(e) => Err(bad_request(format!("spec error: {e}"))),
+    }
+}
+
+fn body_text(req: &Request) -> Result<&str, Response> {
+    std::str::from_utf8(&req.body).map_err(|_| bad_request("body is not UTF-8"))
+}
+
+/// The parse step of the five analysis endpoints.
+fn analysis_input(cx: &Ctx) -> Result<(SystemSpec, Design, AnalysisParams), Response> {
+    let (spec, design) = spec_input(cx.req)?;
+    let params = AnalysisParams::from_request(cx.req, cx.endpoint, cx.inner.default_deadline_ms);
+    Ok((spec, design, params.map_err(bad_request)?))
 }
 
 /// Per-request parameters of the analysis endpoints.
@@ -1102,37 +1238,194 @@ fn request_deadline(req: &Request, default_deadline_ms: u64) -> Result<Option<In
     Ok((deadline_ms > 0).then(|| Instant::now() + Duration::from_millis(deadline_ms)))
 }
 
-/// Executes one command; the response body composition is the identity
-/// contract documented at the top of this module. Every command polls
-/// `cancel` at its iteration boundaries; with a live token the output is
-/// bit-identical to the plain CLI command.
-fn run_command(
-    endpoint: &str,
-    spec: &SystemSpec,
+/// Runs an analysis command on this node: a pool job against the
+/// design's warm engine cache, whose output is the whole `200` body
+/// (the identity contract at the top of this module). `/order` and
+/// `/verify` look the cache up without using it, so `/metrics` counts
+/// every design served.
+fn run_locally(
+    cx: &Ctx,
+    spec: SystemSpec,
     params: &AnalysisParams,
-    cache: &EngineCache,
-    cancel: &CancelToken,
-) -> Result<String, CliError> {
-    match endpoint {
-        "analyze" => cmd_analyze_cancellable(spec, cache, cancel),
-        // `order` runs one combinatorial pass with no iteration structure
-        // to poll; it is fast enough to always run to completion.
-        "order" => {
-            let (report, json) = cmd_order(spec)?;
-            Ok(format!("{report}{json}\n"))
+    command: impl FnOnce(&SystemSpec, &EngineCache, &CancelToken) -> Result<String, CliError>
+        + Send
+        + 'static,
+) -> Reply {
+    let cache = cx.inner.cache_for(&spec);
+    let job = Job::pool(params.deadline, move |cancel| {
+        Ok(command(&spec, &cache, cancel)?)
+    });
+    cx.serve(job, |body| Response::text(200, body))
+}
+
+fn analyze(cx: &Ctx) -> Handled {
+    let (spec, design, params) = analysis_input(cx)?;
+    Ok(run_locally(cx, spec, &params, move |_, cache, cancel| {
+        analyze_design(&design, Some(cache), Some(cancel))
+    }))
+}
+
+/// `order` and `verify` work on `spec.to_system()`, not on the design:
+/// [`Design::new`] snaps process latencies to the nearest Pareto point,
+/// which would change their bytes. `order` is one combinatorial pass
+/// with no iteration structure to poll; it always runs to completion.
+fn order(cx: &Ctx) -> Handled {
+    let (spec, _, params) = analysis_input(cx)?;
+    Ok(run_locally(cx, spec, &params, |spec, _, _| {
+        let (report, json) = cmd_order(spec)?;
+        Ok(format!("{report}{json}\n"))
+    }))
+}
+
+fn verify(cx: &Ctx) -> Handled {
+    let (spec, _, params) = analysis_input(cx)?;
+    Ok(run_locally(cx, spec, &params, |spec, _, cancel| {
+        render_verify_system(&spec.to_system()?, Some(cancel))
+    }))
+}
+
+/// In coordinator mode the exploration is forwarded to the fleet; when
+/// the cluster cannot serve it, it runs here, degraded but correct.
+fn explore(cx: &Ctx) -> Handled {
+    let (spec, design, params) = analysis_input(cx)?;
+    if let Some(cluster) = &cx.inner.cluster {
+        if let Some(reply) = forward_explore(cx, cluster, &spec, &params) {
+            return Ok(reply);
         }
-        "explore" => {
-            let (report, json) =
-                cmd_explore_cancellable(spec, params.target, params.jobs, cache, cancel)?;
-            Ok(format!("{report}{json}\n"))
-        }
-        "sweep" => cmd_sweep_cancellable(spec, &params.targets, params.jobs, cache, cancel),
-        // `verify` builds its own transition system per request; the
-        // engine cache memoizes TMG analysis, not certification, so the
-        // command takes only the spec and the token.
-        "verify" => cmd_verify_cancellable(spec, cancel),
-        _ => unreachable!("routed endpoints only"),
     }
+    let (target, jobs) = (params.target, params.jobs);
+    Ok(run_locally(
+        cx,
+        spec,
+        &params,
+        move |spec, cache, cancel| {
+            let explored = explore_design(spec, design, target, jobs, cache, Some(cancel));
+            let (report, json) = explored?;
+            Ok(format!("{report}{json}\n"))
+        },
+    ))
+}
+
+/// In coordinator mode each ladder target fans out to the fleet.
+fn sweep(cx: &Ctx) -> Handled {
+    let (spec, design, mut params) = analysis_input(cx)?;
+    if let Some(cluster) = &cx.inner.cluster {
+        if let Some(reply) = coordinator_sweep(cx, cluster, &spec, &design, &params) {
+            return Ok(reply);
+        }
+    }
+    let targets = std::mem::take(&mut params.targets);
+    Ok(run_locally(cx, spec, &params, move |_, cache, cancel| {
+        sweep_design(design, &targets, params.jobs, cache, Some(cancel))
+    }))
+}
+
+/// `POST /shard/sweeppoint?target=N`: the worker-side unit of a
+/// distributed sweep — one ladder target explored against the posted
+/// spec, answered in the exact-value wire form ([`render_point_wire`])
+/// so the coordinator reassembles *values*, never re-parsed rendered
+/// text. It runs through the same pipeline as the public endpoints, so
+/// coordinator retries see the same shedding statuses human clients do.
+fn sweep_point(cx: &Ctx) -> Handled {
+    let (spec, design) = spec_input(cx.req)?;
+    let target: u64 = match cx.req.query_param("target") {
+        None => return Err(bad_request("sweeppoint requires ?target=<cycles>")),
+        Some(text) => text
+            .parse()
+            .map_err(|_| bad_request("target must be a non-negative integer"))?,
+    };
+    let deadline = cx.deadline()?;
+    let cache = cx.inner.cache_for(&spec);
+    let options = ermes::SweepOptions {
+        jobs: 1,
+        memoize: true,
+    };
+    let job = Job::pool(deadline, move |cancel| {
+        let point = ermes::sweep_point(design, target, &options, &cache, Some(cancel));
+        Ok(point?)
+    });
+    let job = Job {
+        attr: Some(("target", target)),
+        ..job
+    };
+    Ok(cx.serve(job, |point| Response::text(200, render_point_wire(&point))))
+}
+
+/// `POST /session`: runs the initial full analysis on the worker pool,
+/// stores the resulting session, and answers with the analysis —
+/// bit-identical to `POST /analyze` on the same spec — plus an
+/// `x-ermes-session: {id}` header the client quotes back on edits.
+fn session_open(cx: &Ctx) -> Handled {
+    let (_, design) = spec_input(cx.req)?;
+    let job = Job::pool(cx.deadline()?, move |cancel| {
+        let state = DeltaState::open_cancellable(design, Some(cancel))?;
+        let body = render_session_report(&state);
+        Ok((state, body))
+    });
+    Ok(cx.serve(job, |(state, body)| {
+        session_response(cx.inner.sessions.insert(state), body)
+    }))
+}
+
+/// `POST /session/{id}/edit`: applies one reselect/reorder edit under
+/// the session's lock and answers with the full re-analysis —
+/// bit-identical to `POST /analyze` on a spec capturing the session's
+/// post-edit design, but computed incrementally (dirty-SCC reprice for
+/// reselects, component-reusing rebuild for reorders). A cancelled edit
+/// stays applied with its analysis pending; the next edit settles it
+/// first.
+fn session_edit(cx: &Ctx) -> Handled {
+    let session = cx.session()?;
+    let edit = parse_edit(body_text(cx.req)?).map_err(bad_request)?;
+    let job = cx.session_job(
+        session,
+        cx.deadline()?,
+        |id| {
+            format!(
+                "analysis worker panicked on this edit; worker restarted, session {id} dropped\n"
+            )
+        },
+        move |state, cancel| {
+            apply_edit(state, &edit, Some(cancel))?;
+            Ok(render_session_report(state))
+        },
+    );
+    Ok(cx.serve(job, |body| {
+        cx.inner.sessions.edits.fetch_add(1, Ordering::Relaxed);
+        session_response(cx.id, body)
+    }))
+}
+
+/// `POST /session/{id}/verify`: certifies the session's *current*
+/// design — after any number of incremental edits — deadlock-free (or
+/// refutes it), bit-identical to `POST /verify` on a spec capturing the
+/// session's present state.
+fn session_verify(cx: &Ctx) -> Handled {
+    let job = cx.session_job(
+        cx.session()?,
+        cx.deadline()?,
+        |id| format!("analysis worker panicked verifying session {id}; worker restarted, session dropped\n"),
+        |state, cancel| render_verify_system(state.design().system(), Some(cancel)),
+    );
+    Ok(cx.serve(job, |body| session_response(cx.id, body)))
+}
+
+/// `DELETE /session/{id}`: drops the session (no pool round-trip —
+/// freeing the state is cheap and must work even under a full queue).
+fn session_close(cx: &Ctx) -> Handled {
+    let (id, sessions) = (cx.id, &cx.inner.sessions);
+    Ok(Reply::from(if sessions.remove(id, &sessions.closed) {
+        Response::text(200, format!("session {id} closed\n"))
+    } else {
+        Response::text(404, format!("no session {id}\n"))
+    }))
+}
+
+fn session_response(id: u64, body: String) -> Response {
+    let mut response = Response::text(200, body);
+    let header = ("x-ermes-session", id.to_string());
+    response.extra_headers.push(header);
+    response
 }
 
 /// Coordinator path for `POST /explore`: the whole request is forwarded
@@ -1143,32 +1436,37 @@ fn run_command(
 /// `None` means the cluster could not serve the job (all replicas
 /// exhausted); the caller runs it locally, degraded but correct.
 fn forward_explore(
-    req: &Request,
+    cx: &Ctx,
     cluster: &Arc<Cluster>,
     spec: &SystemSpec,
     params: &AnalysisParams,
-) -> Option<Response> {
+) -> Option<Reply> {
     use std::fmt::Write as _;
-    let request_span = trace::span("request");
-    trace::attr("endpoint", "explore");
-    trace::attr("forwarded", 1);
-    let key = shard_key(&spec.to_json_pretty(), params.target);
-    let mut target = format!("/explore?target={}", params.target);
-    if params.jobs != 1 {
-        let _ = write!(target, "&jobs={}", params.jobs);
-    }
+    let run = |_: &CancelToken| {
+        let key = shard_key(&spec.to_json_pretty(), params.target);
+        let mut target = format!("/explore?target={}", params.target);
+        if params.jobs != 1 {
+            let _ = write!(target, "&jobs={}", params.jobs);
+        }
+        cluster
+            .dispatch(key, "POST", &target, &cx.req.body)
+            .map_err(|_| {
+                cluster.metrics.record_degraded();
+                Failure::Degraded
+            })
+    };
     // The worker runs un-deadlined: the coordinator's subjob timeout
     // already bounds the wait, and a relayed deadline would let time
     // burned by a failed first attempt cut a retry short.
-    let result = cluster.dispatch(key, "POST", &target, &req.body);
-    trace::attr("outcome", if result.is_ok() { "ok" } else { "degraded" });
-    drop(request_span);
+    let (result, _) = cx.execute(Job {
+        deadline: None,
+        attr: Some(("forwarded", 1)),
+        session: None,
+        work: Work::Here(Box::new(run)),
+    });
     match result {
-        Ok(reply) => Some(relay(reply)),
-        Err(_) => {
-            cluster.metrics.record_degraded();
-            None
-        }
+        Err(Failure::Degraded) => None,
+        result => Some(cx.respond(result, None, relay)),
     }
 }
 
@@ -1188,19 +1486,6 @@ fn relay(reply: ClientResponse) -> Response {
     response
 }
 
-/// One subjob of a coordinated sweep, as gathered in ladder order.
-enum SubjobOutcome {
-    /// A worker (or the local fallback) produced the point.
-    Point(ermes::SweepPoint),
-    /// A worker answered with a deterministic non-retryable verdict
-    /// (e.g. `422` for a deadlocking configuration) — relayed verbatim,
-    /// exactly the bytes a local sweep would have produced for the
-    /// first failing target.
-    Verdict(ClientResponse),
-    /// The local fallback itself failed (including cancellation).
-    Local(ermes::ErmesError),
-}
-
 /// Coordinator path for `POST /sweep`: each ladder target is one subjob
 /// keyed by `(spec, target)`, so repeat sweeps of one design land on
 /// the same — warm — workers while the ladder spreads over the fleet.
@@ -1215,521 +1500,107 @@ enum SubjobOutcome {
 /// `None` (all workers `Down` before the fan-out starts) sends the
 /// whole request down the local path with its pool admission control.
 fn coordinator_sweep(
-    inner: &Inner,
+    cx: &Ctx,
     cluster: &Arc<Cluster>,
     spec: &SystemSpec,
+    design: &Design,
     params: &AnalysisParams,
-) -> Option<Response> {
-    if cluster
-        .worker_states()
-        .iter()
-        .all(|(_, s)| *s == parx::HealthState::Down)
-    {
+) -> Option<Reply> {
+    let states = cluster.worker_states();
+    if states.iter().all(|(_, s)| *s == parx::HealthState::Down) {
         cluster.metrics.record_degraded();
         return None;
     }
-    let design = spec.to_design().ok()?; // prechecked by the caller
     let spec_json = spec.to_json_pretty();
-    let request_span = trace::span("request");
-    trace::attr("endpoint", "sweep");
-    trace::attr("fanout", params.targets.len());
-    let cache = inner
-        .caches
-        .lock()
-        .expect("cache lru poisoned")
-        .get(&spec_json);
-    let options = ermes::SweepOptions {
-        jobs: 1,
-        memoize: true,
-    };
-    let cancel = CancelToken::with_deadline(params.deadline);
-    // Fan out every target at once: subjobs are network-bound waits,
-    // so the thread count is the ladder length, not the local core
-    // count. `par_map` preserves ladder order in the gather, which the
-    // prune's tie-break depends on.
-    let outcomes = parx::par_map(
-        params.targets.len().max(1),
-        &params.targets,
-        |_, &target| {
+    let targets = &params.targets;
+    let run = |cancel: &CancelToken| {
+        let cache = cx
+            .inner
+            .caches
+            .lock()
+            .expect("cache lru poisoned")
+            .get(&spec_json);
+        let options = ermes::SweepOptions {
+            jobs: 1,
+            memoize: true,
+        };
+        // Fan out every target at once: subjobs are network-bound waits,
+        // so the thread count is the ladder length, not the local core
+        // count. `par_map` preserves ladder order in the gather, which
+        // the prune's tie-break depends on.
+        let outcomes = parx::par_map(targets.len().max(1), targets, |_, &target| {
             let key = shard_key(&spec_json, target);
             let path = format!("/shard/sweeppoint?target={target}");
             match cluster.dispatch(key, "POST", &path, spec_json.as_bytes()) {
+                // A 200 whose body does not parse is a worker bug or a
+                // truncation the transport missed; recompute rather
+                // than trust it.
                 Ok(reply) if reply.status == 200 => {
                     match parse_point_wire(&String::from_utf8_lossy(&reply.body)) {
-                        Some(point) => SubjobOutcome::Point(point),
-                        // A 200 whose body does not parse is a worker
-                        // bug or a truncation the transport missed;
-                        // recompute rather than trust it.
-                        None => local_point(cluster, &design, target, &options, &cache, &cancel),
+                        Some(point) => Ok(point),
+                        None => local_point(cluster, design, target, &options, &cache, cancel),
                     }
                 }
-                Ok(reply) => SubjobOutcome::Verdict(reply),
-                Err(_) => local_point(cluster, &design, target, &options, &cache, &cancel),
+                // A deterministic non-retryable verdict (e.g. `422` for a
+                // deadlocking configuration), relayed verbatim: exactly
+                // the bytes a local sweep reports for that target.
+                Ok(reply) => Err(Failure::Error(relay(reply))),
+                Err(_) => local_point(cluster, design, target, &options, &cache, cancel),
             }
-        },
-    );
-    let total = params.targets.len();
-    let mut points = Vec::with_capacity(total);
-    let mut verdict = None;
-    for (index, outcome) in outcomes.into_iter().enumerate() {
-        match outcome {
-            SubjobOutcome::Point(point) => points.push(point),
-            // First failure in ladder order wins, matching the serial
-            // sweep's error report.
-            SubjobOutcome::Verdict(reply) => {
-                verdict = Some(relay(reply));
-                break;
-            }
-            SubjobOutcome::Local(ermes::ErmesError::Cancelled { reason, .. }) => {
-                // Re-scope to targets-within-the-sweep, as the engine's
-                // own sweep loop does.
-                verdict = Some(cancelled_response(inner, reason, index, total));
-                break;
-            }
-            SubjobOutcome::Local(e) => {
-                verdict = Some(error_response(inner, &CliError::Ermes(e)));
-                break;
-            }
-        }
-    }
-    let response = verdict
-        .unwrap_or_else(|| Response::text(200, render_sweep_front(&ermes::prune_front(points))));
-    trace::attr(
-        "outcome",
-        if response.status == 200 {
-            "ok"
-        } else {
-            "error"
-        },
-    );
-    drop(request_span);
-    Some(response)
+        });
+        // The first failure in ladder order wins, matching the serial
+        // sweep's error report; a failed fan-out is labelled `error`
+        // whatever its cause.
+        let points = outcomes
+            .into_iter()
+            .enumerate()
+            .map(|(index, outcome)| match outcome {
+                // Re-scoped to targets-within-the-sweep, as the engine's own
+                // sweep loop does.
+                Err(Failure::Cancelled(reason, ..)) => {
+                    let response = cancelled_response(cx.inner, reason, index, targets.len());
+                    Err(Failure::Error(response))
+                }
+                outcome => outcome,
+            });
+        let points = points.collect::<Result<Vec<_>, _>>()?;
+        Ok(render_sweep_front(&ermes::prune_front(points)))
+    };
+    let job = Job {
+        deadline: params.deadline,
+        attr: Some(("fanout", targets.len() as u64)),
+        session: None,
+        work: Work::Here(Box::new(run)),
+    };
+    Some(cx.serve(job, |body| Response::text(200, body)))
 }
 
 /// Degraded-mode unit: computes one sweep target in-process when the
 /// cluster could not serve it. Counted so operators see fleet trouble
 /// even though clients never do.
 fn local_point(
-    cluster: &Arc<Cluster>,
-    design: &ermes::Design,
+    cluster: &Cluster,
+    design: &Design,
     target: u64,
     options: &ermes::SweepOptions,
     cache: &EngineCache,
     cancel: &CancelToken,
-) -> SubjobOutcome {
+) -> Result<ermes::SweepPoint, Failure> {
     cluster.metrics.record_degraded();
     // A degraded request is flight-recorder material even though its
     // root span will close with `outcome=ok` (the client never sees
     // cluster trouble).
     trace::flight::flag(trace::current_context().trace_id(), "degraded");
-    match ermes::sweep_point(design.clone(), target, options, cache, Some(cancel)) {
-        Ok(point) => SubjobOutcome::Point(point),
-        Err(e) => SubjobOutcome::Local(e),
-    }
+    let point = ermes::sweep_point(design.clone(), target, options, cache, Some(cancel));
+    Ok(point?)
 }
 
-/// `POST /shard/sweeppoint?target=N`: the worker-side unit of a
-/// distributed sweep — one ladder target explored against the posted
-/// spec, answered in the exact-value wire form ([`render_point_wire`])
-/// so the coordinator reassembles *values*, never re-parsed rendered
-/// text. Admission control, deadlines, cancellation, and panic
-/// isolation behave exactly like the public endpoints, so coordinator
-/// retries see the same shedding statuses human clients do. The
-/// coordinator's trace context arrives in `x-ermes-trace`; the job's
-/// spans parent under it, stitching one tree across nodes.
-fn shard_sweep_point_endpoint(inner: &Inner, req: &Request, conn: Option<&TcpStream>) -> Outcome {
-    const ENDPOINT: &str = "shard_sweeppoint";
-    let _adopted = trace::adopt(parse_trace_header(req.header("x-ermes-trace")));
-    let want_tree = req.header("x-ermes-trace-tree").is_some();
-    let body = match std::str::from_utf8(&req.body) {
-        Ok(text) => text,
-        Err(_) => {
-            return Outcome::reply(ENDPOINT, Response::text(400, "body is not UTF-8\n"));
-        }
-    };
-    let spec = match crate::commands::parse_spec(body) {
-        Ok(spec) => spec,
-        Err(e) => {
-            return Outcome::reply(ENDPOINT, Response::text(400, format!("{e}\n")));
-        }
-    };
-    let design = match spec.to_design() {
-        Ok(design) => design,
-        Err(e) => {
-            return Outcome::reply(ENDPOINT, Response::text(400, format!("spec error: {e}\n")));
-        }
-    };
-    let target: u64 = match req.query_param("target") {
-        None => {
-            return Outcome::reply(
-                ENDPOINT,
-                Response::text(400, "sweeppoint requires ?target=<cycles>\n"),
-            );
-        }
-        Some(text) => match text.parse() {
-            Ok(target) => target,
-            Err(_) => {
-                return Outcome::reply(
-                    ENDPOINT,
-                    Response::text(400, "target must be a non-negative integer\n"),
-                );
-            }
-        },
-    };
-    let deadline = match request_deadline(req, inner.default_deadline_ms) {
-        Ok(deadline) => deadline,
-        Err(msg) => return Outcome::reply(ENDPOINT, Response::text(400, msg + "\n")),
-    };
-    let cache = inner
-        .caches
-        .lock()
-        .expect("cache lru poisoned")
-        .get(&spec.to_json_pretty());
-    let cancel = CancelToken::with_deadline(deadline);
-    let job_token = cancel.clone();
-    let request_span = trace::span("request");
-    trace::attr("endpoint", ENDPOINT);
-    trace::attr("target", target);
-    let root_id = trace::current_context().parent();
-    let job = move || {
-        ermes::sweep_point(
-            design,
-            target,
-            &ermes::SweepOptions {
-                jobs: 1,
-                memoize: true,
-            },
-            &cache,
-            Some(&job_token),
-        )
-    };
-    let result = inner.run_job(deadline, &cancel, conn, job);
-    trace::attr(
-        "outcome",
-        match &result {
-            Ok(Ok(_)) => "ok",
-            Ok(Err(ermes::ErmesError::Cancelled { .. })) => "cancelled",
-            Ok(Err(_)) => "error",
-            Err(Shed::JobPanicked) => "panic",
-            Err(_) => "shed",
-        },
-    );
-    drop(request_span);
-    let mut response = match result {
-        Ok(Ok(point)) => Response::text(200, render_point_wire(&point)),
-        Ok(Err(e)) => error_response(inner, &CliError::Ermes(e)),
-        Err(shed) => shed_response(inner, &shed),
-    };
-    if want_tree {
-        append_tree_trailer(&mut response, root_id);
-    }
-    let close_after = response.status == 499;
-    Outcome {
-        response,
-        endpoint: ENDPOINT,
-        close_after,
-        initiate_shutdown: false,
-    }
-}
-
-/// `POST /session`: parses the spec, runs the initial full analysis on
-/// the worker pool, stores the resulting session, and answers with the
-/// analysis — bit-identical to `POST /analyze` on the same spec — plus
-/// an `x-ermes-session: {id}` header the client quotes back on edits.
-fn session_open_endpoint(inner: &Inner, req: &Request, conn: Option<&TcpStream>) -> Outcome {
-    const ENDPOINT: &str = "session_open";
-    let body = match std::str::from_utf8(&req.body) {
-        Ok(text) => text,
-        Err(_) => {
-            return Outcome::reply(ENDPOINT, Response::text(400, "body is not UTF-8\n"));
-        }
-    };
-    let spec = match crate::commands::parse_spec(body) {
-        Ok(spec) => spec,
-        Err(e) => {
-            return Outcome::reply(ENDPOINT, Response::text(400, format!("{e}\n")));
-        }
-    };
-    // Like the stateless endpoints: schema errors never consume a
-    // worker slot. The design built here is the one the session keeps.
-    let design = match spec.to_design() {
-        Ok(design) => design,
-        Err(e) => {
-            return Outcome::reply(ENDPOINT, Response::text(400, format!("spec error: {e}\n")));
-        }
-    };
-    let deadline = match request_deadline(req, inner.default_deadline_ms) {
-        Ok(deadline) => deadline,
-        Err(msg) => return Outcome::reply(ENDPOINT, Response::text(400, msg + "\n")),
-    };
-    let cancel = CancelToken::with_deadline(deadline);
-    let job_token = cancel.clone();
-    let request_span = trace::span("request");
-    trace::attr("endpoint", ENDPOINT);
-    let job = move || {
-        ermes::DeltaState::open_cancellable(design, Some(&job_token)).map(|state| {
-            let body = render_session_report(&state);
-            (state, body)
-        })
-    };
-    let result = inner.run_job(deadline, &cancel, conn, job);
-    trace::attr(
-        "outcome",
-        match &result {
-            Ok(Ok(_)) => "ok",
-            Ok(Err(ermes::ErmesError::Cancelled { .. })) => "cancelled",
-            Ok(Err(_)) => "error",
-            Err(Shed::JobPanicked) => "panic",
-            Err(_) => "shed",
-        },
-    );
-    drop(request_span);
-    let response = match result {
-        Ok(Ok((state, body))) => {
-            let id = inner.sessions.insert(state);
-            let mut response = Response::text(200, body);
-            response
-                .extra_headers
-                .push(("x-ermes-session", id.to_string()));
-            response
-        }
-        Ok(Err(e)) => error_response(inner, &CliError::Ermes(e)),
-        Err(shed) => shed_response(inner, &shed),
-    };
-    let close_after = response.status == 499;
-    Outcome {
-        response,
-        endpoint: ENDPOINT,
-        close_after,
-        initiate_shutdown: false,
-    }
-}
-
-/// `POST /session/{id}/edit`: applies one reselect/reorder edit to the
-/// session under its lock on the worker pool and answers with the full
-/// re-analysis — bit-identical to `POST /analyze` on a spec capturing
-/// the session's post-edit design, but computed incrementally (dirty-SCC
-/// reprice for reselects, component-reusing rebuild for reorders).
-///
-/// A cancelled edit (deadline / disconnect / drain) leaves the edit
-/// applied and the analysis pending; the next edit settles it first. A
-/// *panicked* edit poisons only this session: the session is dropped,
-/// the worker restarted, and every other session keeps working.
-fn session_edit_endpoint(
-    inner: &Inner,
-    req: &Request,
-    id: u64,
-    conn: Option<&TcpStream>,
-) -> Outcome {
-    const ENDPOINT: &str = "session_edit";
-    let Some(session) = inner.sessions.get(id) else {
-        return Outcome::reply(ENDPOINT, Response::text(404, format!("no session {id}\n")));
-    };
-    let body = match std::str::from_utf8(&req.body) {
-        Ok(text) => text,
-        Err(_) => {
-            return Outcome::reply(ENDPOINT, Response::text(400, "body is not UTF-8\n"));
-        }
-    };
-    let edit = match parse_edit(body) {
-        Ok(edit) => edit,
-        Err(msg) => return Outcome::reply(ENDPOINT, Response::text(400, msg + "\n")),
-    };
-    let deadline = match request_deadline(req, inner.default_deadline_ms) {
-        Ok(deadline) => deadline,
-        Err(msg) => return Outcome::reply(ENDPOINT, Response::text(400, msg + "\n")),
-    };
-    let cancel = CancelToken::with_deadline(deadline);
-    let job_token = cancel.clone();
-    let request_span = trace::span("request");
-    trace::attr("endpoint", ENDPOINT);
-    trace::attr("session", id);
-    // `None` = the session mutex is poisoned: an earlier edit panicked
-    // on its worker while holding the lock.
-    let job = move || -> Option<Result<String, CliError>> {
-        let Ok(mut state) = session.lock() else {
-            return None;
-        };
-        Some(
-            apply_edit(&mut state, &edit, Some(&job_token)).map(|()| render_session_report(&state)),
-        )
-    };
-    let result = inner.run_job(deadline, &cancel, conn, job);
-    trace::attr(
-        "outcome",
-        match &result {
-            Ok(Some(Ok(_))) => "ok",
-            Ok(Some(Err(CliError::Ermes(ermes::ErmesError::Cancelled { .. })))) => "cancelled",
-            Ok(Some(Err(_))) => "error",
-            Ok(None) => "poisoned",
-            Err(Shed::JobPanicked) => "panic",
-            Err(_) => "shed",
-        },
-    );
-    drop(request_span);
-    let response = match result {
-        Ok(Some(Ok(body))) => {
-            inner.sessions.edits.fetch_add(1, Ordering::Relaxed);
-            let mut response = Response::text(200, body);
-            response
-                .extra_headers
-                .push(("x-ermes-session", id.to_string()));
-            response
-        }
-        Ok(Some(Err(e))) => error_response(inner, &e),
-        Ok(None) => {
-            inner.sessions.remove(id, &inner.sessions.dropped);
-            Response::text(
-                500,
-                format!("session {id} was corrupted by a panicked edit and has been dropped\n"),
-            )
-        }
-        Err(Shed::JobPanicked) => {
-            inner.metrics.record_job_panicked();
-            inner.sessions.remove(id, &inner.sessions.dropped);
-            Response::text(
-                500,
-                format!(
-                    "analysis worker panicked on this edit; worker restarted, session {id} dropped\n"
-                ),
-            )
-        }
-        Err(shed) => shed_response(inner, &shed),
-    };
-    let close_after = response.status == 499;
-    Outcome {
-        response,
-        endpoint: ENDPOINT,
-        close_after,
-        initiate_shutdown: false,
-    }
-}
-
-/// `POST /session/{id}/verify`: certifies the session's *current*
-/// design — after any number of incremental edits — deadlock-free (or
-/// refutes it), bit-identical to `POST /verify` on a spec capturing the
-/// session's present state. Runs on the worker pool under the session
-/// lock with the same deadline/cancellation/panic rules as an edit; a
-/// panicked verification drops only this session.
-fn session_verify_endpoint(
-    inner: &Inner,
-    req: &Request,
-    id: u64,
-    conn: Option<&TcpStream>,
-) -> Outcome {
-    const ENDPOINT: &str = "session_verify";
-    let Some(session) = inner.sessions.get(id) else {
-        return Outcome::reply(ENDPOINT, Response::text(404, format!("no session {id}\n")));
-    };
-    let deadline = match request_deadline(req, inner.default_deadline_ms) {
-        Ok(deadline) => deadline,
-        Err(msg) => return Outcome::reply(ENDPOINT, Response::text(400, msg + "\n")),
-    };
-    let cancel = CancelToken::with_deadline(deadline);
-    let job_token = cancel.clone();
-    let request_span = trace::span("request");
-    trace::attr("endpoint", ENDPOINT);
-    trace::attr("session", id);
-    // `None` = the session mutex is poisoned by an earlier panicked edit.
-    let job = move || -> Option<Result<String, CliError>> {
-        let Ok(state) = session.lock() else {
-            return None;
-        };
-        Some(render_verify_system(
-            state.design().system(),
-            Some(&job_token),
-        ))
-    };
-    let result = inner.run_job(deadline, &cancel, conn, job);
-    trace::attr(
-        "outcome",
-        match &result {
-            Ok(Some(Ok(_))) => "ok",
-            Ok(Some(Err(CliError::Ermes(ermes::ErmesError::Cancelled { .. })))) => "cancelled",
-            Ok(Some(Err(_))) => "error",
-            Ok(None) => "poisoned",
-            Err(Shed::JobPanicked) => "panic",
-            Err(_) => "shed",
-        },
-    );
-    drop(request_span);
-    let response = match result {
-        Ok(Some(Ok(body))) => {
-            let mut response = Response::text(200, body);
-            response
-                .extra_headers
-                .push(("x-ermes-session", id.to_string()));
-            response
-        }
-        Ok(Some(Err(e))) => error_response(inner, &e),
-        Ok(None) => {
-            inner.sessions.remove(id, &inner.sessions.dropped);
-            Response::text(
-                500,
-                format!("session {id} was corrupted by a panicked edit and has been dropped\n"),
-            )
-        }
-        Err(Shed::JobPanicked) => {
-            inner.metrics.record_job_panicked();
-            inner.sessions.remove(id, &inner.sessions.dropped);
-            Response::text(
-                500,
-                format!(
-                    "analysis worker panicked verifying session {id}; worker restarted, session dropped\n"
-                ),
-            )
-        }
-        Err(shed) => shed_response(inner, &shed),
-    };
-    let close_after = response.status == 499;
-    Outcome {
-        response,
-        endpoint: ENDPOINT,
-        close_after,
-        initiate_shutdown: false,
-    }
-}
-
-/// `DELETE /session/{id}`: drops the session (no pool round-trip —
-/// freeing the state is cheap and must work even under a full queue).
-fn session_close_endpoint(inner: &Inner, id: u64) -> Outcome {
-    const ENDPOINT: &str = "session_close";
-    let response = if inner.sessions.remove(id, &inner.sessions.closed) {
-        Response::text(200, format!("session {id} closed\n"))
-    } else {
-        Response::text(404, format!("no session {id}\n"))
-    };
-    Outcome::reply(ENDPOINT, response)
-}
-
-/// Maps a shed verdict to its HTTP shape, recording the matching
-/// metric. `429`s carry a `retry-after` computed from the pool's
-/// current backlog (see [`retry_after_secs`]).
-fn shed_response(inner: &Inner, shed: &Shed) -> Response {
-    let (status, message) = match shed {
-        Shed::QueueFull => {
-            inner.metrics.record_shed(true);
-            (429, "admission queue full; retry later\n")
-        }
-        Shed::Deadline => {
-            inner.metrics.record_shed(false);
-            (429, "deadline expired before a worker was free\n")
-        }
-        Shed::ShuttingDown => (503, "server is draining\n"),
-        Shed::JobPanicked => {
-            inner.metrics.record_job_panicked();
-            (
-                500,
-                "analysis worker panicked on this request; worker restarted\n",
-            )
-        }
-    };
-    let mut response = Response::text(status, message);
-    if status == 429 {
-        response
-            .extra_headers
-            .push(("retry-after", retry_after_secs(inner).to_string()));
-    }
+/// A `429` with a `retry-after` computed from the pool's current backlog
+/// (see [`retry_after_secs`]).
+fn too_many_requests(inner: &Inner, body: impl Into<Vec<u8>>) -> Response {
+    let mut response = Response::text(429, body);
+    let retry_after = retry_after_secs(inner).to_string();
+    response.extra_headers.push(("retry-after", retry_after));
     response
 }
 
@@ -1755,30 +1626,11 @@ fn retry_after_from(queue_depth: usize, running: usize, workers: usize) -> u64 {
         .clamp(1, 30)
 }
 
-fn error_response(inner: &Inner, e: &CliError) -> Response {
-    if let CliError::Ermes(ermes::ErmesError::Cancelled {
-        reason,
-        completed,
-        total,
-    }) = e
-    {
-        return cancelled_response(inner, *reason, *completed, *total);
-    }
-    match e {
-        CliError::Json(_) | CliError::Spec(_) | CliError::Usage(_) => {
-            Response::text(400, format!("{e}\n"))
-        }
-        CliError::Ermes(_) => Response::text(422, format!("{e}\n")),
-    }
-}
-
 /// Maps a mid-execution cancellation to its HTTP shape: deadline → 429
 /// (retryable — the work *was* admitted but ran out of time), client
 /// disconnect → 499 (nobody left to answer), shutdown → 503. All three
 /// carry the partial-progress metadata in the body and an
-/// `x-ermes-progress: completed/total` header; the 429's `retry-after`
-/// reflects the pool's backlog at response time (see
-/// [`retry_after_secs`]).
+/// `x-ermes-progress: completed/total` header.
 fn cancelled_response(
     inner: &Inner,
     reason: CancelReason,
@@ -1789,10 +1641,7 @@ fn cancelled_response(
     let mut response = match reason {
         CancelReason::Deadline => {
             inner.metrics.record_cancelled_deadline();
-            let mut r = Response::text(429, body);
-            r.extra_headers
-                .push(("retry-after", retry_after_secs(inner).to_string()));
-            r
+            too_many_requests(inner, body)
         }
         CancelReason::Disconnected => {
             inner.metrics.record_cancelled_disconnect();

@@ -725,3 +725,103 @@ fn healthz_and_keep_alive_roundtrip() {
     }
     shutdown(addr, handle);
 }
+
+/// A body nested deeper than the JSON parser's cap is a clean `400`,
+/// never a stack overflow that takes the whole daemon down: a megabyte
+/// of `[` to `/analyze` and to a session edit, then the daemon is still
+/// healthy and still answers bit-identically to the CLI.
+#[test]
+fn hostile_nesting_is_a_bad_request_not_a_crash() {
+    let (addr, handle) = start(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let hostile = "[".repeat(1 << 20);
+    let (status, body) = post(addr, "/analyze", &hostile);
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("nesting deeper than"), "{body}");
+
+    let opened = request_full(addr, "POST", "/session", MOTIVATING);
+    assert_eq!(opened.status, 200, "{}", opened.body);
+    let id = opened.header("x-ermes-session").expect("session id");
+    let (status, body) = post(addr, &format!("/session/{id}/edit"), &hostile);
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("nesting deeper than"), "{body}");
+
+    let (status, health) = get(addr, "/healthz");
+    assert_eq!(status, 200);
+    assert_eq!(health.lines().next(), Some("ok"), "{health}");
+    let spec = SystemSpec::from_json(MOTIVATING).expect("testdata parses");
+    assert_eq!(
+        post(addr, "/analyze", MOTIVATING),
+        (200, ermesd::cmd_analyze(&spec).expect("analyzes"))
+    );
+    shutdown(addr, handle);
+}
+
+/// `/shard/sweeppoint` is a pool endpoint with admission control like
+/// the public ones, so it records service latency under its own label.
+#[test]
+fn shard_sweep_points_record_request_latency() {
+    let (addr, handle) = start(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let (status, body) = post(addr, "/shard/sweeppoint?target=1200", MOTIVATING);
+    assert_eq!(status, 200, "{body}");
+    let (_, metrics) = get(addr, "/metrics");
+    assert_eq!(
+        metric_value(
+            &metrics,
+            "ermesd_request_seconds_count{endpoint=\"shard_sweeppoint\"}"
+        ),
+        1,
+        "{metrics}"
+    );
+    shutdown(addr, handle);
+}
+
+/// Only the endpoints that join a coordinator's trace answer a request
+/// for their span tree: `/analyze` appends the tree of its `request`
+/// span behind the CLI bytes, while a session endpoint ignores the
+/// header and answers the plain analysis.
+#[test]
+fn only_stitched_endpoints_append_their_span_tree() {
+    let (addr, handle) = start(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let expected =
+        ermesd::cmd_analyze(&SystemSpec::from_json(MOTIVATING).expect("parses")).expect("analyzes");
+    let with_tree = |path: &str| {
+        let mut stream = TcpStream::connect(addr).expect("server reachable");
+        write!(
+            stream,
+            "POST {path} HTTP/1.1\r\nconnection: close\r\nx-ermes-trace-tree: 1\r\n\
+             content-length: {}\r\n\r\n{MOTIVATING}",
+            MOTIVATING.len()
+        )
+        .expect("request written");
+        let reply =
+            ermesd::http::read_response(&mut BufReader::new(stream), usize::MAX).expect("response");
+        assert_eq!(reply.status, 200, "POST {path}");
+        String::from_utf8(reply.body).expect("utf-8 body")
+    };
+
+    let analyzed = with_tree("/analyze");
+    let (plain, wire) = analyzed
+        .split_once(trace::TRAILER_MARKER)
+        .expect("/analyze appends its span tree");
+    assert_eq!(plain, expected);
+    let tree = trace::SpanTree::from_wire(wire).expect("well-formed tree");
+    assert_eq!(tree.record.name, "request");
+    assert_eq!(tree.record.attr("endpoint"), Some("analyze"));
+    assert_eq!(tree.record.attr("outcome"), Some("ok"));
+
+    assert_eq!(
+        with_tree("/session"),
+        expected,
+        "sessions never append a tree"
+    );
+    shutdown(addr, handle);
+}
