@@ -130,12 +130,12 @@ struct WorkerSlot {
 }
 
 /// One request as it travels to a worker; owned so hedge threads can
-/// share it.
+/// share it. The body is the caller's buffer, shared, never copied.
 struct Wire {
     method: String,
     target: String,
     headers: Vec<(&'static str, String)>,
-    body: Vec<u8>,
+    body: Arc<[u8]>,
 }
 
 /// Where a returned worker span tree should be stitched, shared by every
@@ -279,7 +279,7 @@ impl Cluster {
         key: u64,
         method: &str,
         target: &str,
-        body: &[u8],
+        body: &Arc<[u8]>,
     ) -> Result<ClientResponse, DispatchError> {
         let _dispatch_span = trace::span("dispatch");
         trace::attr("target", target);
@@ -309,7 +309,7 @@ impl Cluster {
             method: method.to_string(),
             target: target.to_string(),
             headers,
-            body: body.to_vec(),
+            body: Arc::clone(body),
         });
         let mut backoff =
             Backoff::new(self.config.backoff_base_ms, self.config.backoff_cap_ms, key);
@@ -655,13 +655,14 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Placement key for a subjob: content hash of the canonical spec JSON
-/// (covering design, selections, and orderings — the same identity the
-/// EngineCache keys on) combined with the target, so each ladder entry
-/// of one design spreads over the ring while repeat sweeps of the same
-/// design land on warm caches.
-pub(crate) fn shard_key(spec_json: &str, target: u64) -> u64 {
-    fnv1a(spec_json.as_bytes()) ^ target.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+/// Placement key for a subjob: `body_hash`, the FNV-1a hash of the
+/// forwarded spec body (the key of the worker's design LRU, so covering
+/// design, selections and orderings), combined with the target, so each
+/// ladder entry of one design spreads over the ring while repeat sweeps
+/// of the same body land on warm caches. A canonical body hashes like
+/// the canonical spec JSON it is.
+pub(crate) fn shard_key(body_hash: u64, target: u64) -> u64 {
+    body_hash ^ target.wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 
 /// Parses the `x-ermes-trace: trace_id/span_id` header a coordinator
@@ -891,10 +892,11 @@ mod tests {
 
     #[test]
     fn shard_key_separates_targets_and_designs() {
-        let a = shard_key("{spec-a}", 1000);
-        assert_eq!(a, shard_key("{spec-a}", 1000), "stable");
-        assert_ne!(a, shard_key("{spec-a}", 2000));
-        assert_ne!(a, shard_key("{spec-b}", 1000));
+        let (spec_a, spec_b) = (fnv1a(b"{spec-a}"), fnv1a(b"{spec-b}"));
+        let a = shard_key(spec_a, 1000);
+        assert_eq!(a, shard_key(spec_a, 1000), "stable");
+        assert_ne!(a, shard_key(spec_a, 2000));
+        assert_ne!(a, shard_key(spec_b, 1000));
     }
 
     #[test]

@@ -391,9 +391,9 @@ impl Metrics {
     }
 }
 
-/// Opens up the per-base-design cache LRU: one `ermes_cache_entries`
-/// gauge and one `ermes_cache_evictions_total` counter per live design,
-/// labelled with the design's spec fingerprint.
+/// Opens up the design LRU: one `ermes_cache_entries` gauge and one
+/// `ermes_cache_evictions_total` counter per decoded spec body, labelled
+/// with the body's FNV-1a fingerprint.
 pub(crate) fn render_per_design_cache(per_design: &[(String, usize, u64)]) -> String {
     let mut out = String::new();
     if per_design.is_empty() {

@@ -27,14 +27,20 @@
 //!
 //! # The shared cache
 //!
-//! An [`EngineCache`] memoizes per *base design* (topology, channel
-//! latencies, Pareto frontiers) — its keys only cover selection and
-//! ordering state. The server therefore keeps an LRU of `EngineCache`s
-//! keyed by the canonical JSON of the incoming spec: requests for the
-//! same system share a warm cache, requests for different systems can
-//! never alias. Each engine cache is itself bounded
-//! ([`EngineCache::with_capacity`]), so memory is bounded by
-//! `design_cache_capacity * cache_capacity` entries regardless of uptime.
+//! The server keeps an LRU of decoded specs keyed by the request body's
+//! bytes. An entry holds the parsed [`SystemSpec`], its built [`Design`],
+//! that design's [`EngineCache`] and an FNV-1a hash of the body, and is
+//! filled once: a body seen before is never parsed again, and concurrent
+//! requests carrying one new body wait for a single decode. Parsing is
+//! deterministic, so equal bytes give an equal design, and an
+//! `EngineCache`'s own keys cover selection and ordering state: requests
+//! for the same body share a warm cache, requests for different systems
+//! can never alias. (Two differently formatted bodies of one system warm
+//! two caches.) A body that fails to decode answers `400` and leaves no
+//! entry, so malformed traffic cannot displace a warm design. Each engine
+//! cache is itself bounded ([`EngineCache::with_capacity`]), so memory is
+//! bounded by `design_cache_capacity` decoded specs of at most
+//! `cache_capacity` entries each, regardless of uptime.
 
 use crate::cluster::{
     fnv1a, parse_point_wire, parse_trace_header, render_point_wire, shard_key, Cluster,
@@ -55,7 +61,7 @@ use std::collections::HashMap;
 use std::io::{self, BufReader, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// How often the connection thread wakes while its job runs to poll the
@@ -75,7 +81,8 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Per-table bound of each design's [`EngineCache`].
     pub cache_capacity: usize,
-    /// How many distinct base designs keep a warm cache (LRU beyond).
+    /// How many distinct spec bodies stay decoded, each with its design
+    /// and warm engine cache (LRU beyond, keyed by the body's bytes).
     pub design_cache_capacity: usize,
     /// Largest request body (a spec JSON) the server will buffer.
     pub max_body_bytes: usize,
@@ -107,86 +114,196 @@ impl Default for ServerConfig {
     }
 }
 
-/// LRU of per-design engine caches, keyed by canonical spec JSON.
-struct CacheLru {
-    entries: HashMap<String, (Arc<EngineCache>, u64)>,
-    tick: u64,
+/// A posted spec, decoded once per distinct body.
+struct Decoded {
+    /// The body it was decoded from, shared with the LRU key: a
+    /// coordinator forwards these bytes to its workers as they came.
+    body: Arc<[u8]>,
+    spec: SystemSpec,
+    design: Design,
+    /// The design's warm engine cache.
+    cache: EngineCache,
+    /// FNV-1a of `body`: the design label on `/metrics` and the cluster
+    /// placement key.
+    hash: u64,
+}
+
+impl Decoded {
+    /// Decodes a request body: UTF-8, the spec, then its design. Model
+    /// constraints are checked here, so schema errors never consume a
+    /// worker slot. The error is the `400` message.
+    fn new(body: Arc<[u8]>, engine_capacity: usize) -> Result<Decoded, String> {
+        let spec = parse_spec(body_text(&body)?).map_err(|e| e.to_string())?;
+        let design = spec.to_design().map_err(|e| format!("spec error: {e}"))?;
+        Ok(Decoded {
+            hash: fnv1a(&body),
+            body,
+            spec,
+            design,
+            cache: EngineCache::with_capacity(engine_capacity),
+        })
+    }
+}
+
+/// One body's decode, shared by every request that carries it.
+struct Slot {
+    body: Arc<[u8]>,
+    decoded: OnceLock<Result<Arc<Decoded>, String>>,
+}
+
+impl Slot {
+    fn ready(&self) -> Option<&Arc<Decoded>> {
+        self.decoded.get().and_then(|result| result.as_ref().ok())
+    }
+}
+
+/// LRU of decoded specs, keyed by request body bytes.
+struct DesignLru {
+    entries: Mutex<Entries>,
     capacity: usize,
     engine_capacity: usize,
 }
 
-impl CacheLru {
-    fn new(capacity: usize, engine_capacity: usize) -> CacheLru {
-        CacheLru {
-            entries: HashMap::new(),
-            tick: 0,
+/// Body → its slot and last-use tick. A slot still decoding is shared
+/// with concurrent requests for its body, but neither counts toward the
+/// capacity nor shows on `/metrics`.
+#[derive(Default)]
+struct Entries {
+    map: HashMap<Arc<[u8]>, (Arc<Slot>, u64)>,
+    tick: u64,
+}
+
+impl DesignLru {
+    fn new(capacity: usize, engine_capacity: usize) -> DesignLru {
+        DesignLru {
+            entries: Mutex::default(),
             capacity: capacity.max(1),
             engine_capacity,
         }
     }
 
-    /// The cache for `key`, created (evicting the least recently used
-    /// design if at capacity) when absent.
-    fn get(&mut self, key: &str) -> Arc<EngineCache> {
-        self.tick += 1;
-        if let Some((cache, stamp)) = self.entries.get_mut(key) {
-            *stamp = self.tick;
-            return Arc::clone(cache);
-        }
-        if self.entries.len() >= self.capacity {
-            if let Some(oldest) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, (_, stamp))| *stamp)
-                .map(|(k, _)| k.clone())
-            {
-                self.entries.remove(&oldest);
+    fn lock(&self) -> std::sync::MutexGuard<'_, Entries> {
+        self.entries.lock().expect("design lru poisoned")
+    }
+
+    /// `body` decoded, or the `400` message it decodes to.
+    fn get(&self, body: &[u8]) -> Result<Arc<Decoded>, String> {
+        self.get_with(body, |body| Decoded::new(body, self.engine_capacity))
+    }
+
+    /// [`DesignLru::get`] with `decode` run when no entry holds `body`.
+    /// The decode runs outside the lock, once per slot: other bodies
+    /// decode in parallel, and requests for this one wait for it. Only a
+    /// successful decode evicts (the least recently used beyond the
+    /// capacity); a failed one removes its slot again, leaving the LRU as
+    /// it was.
+    fn get_with(
+        &self,
+        body: &[u8],
+        decode: impl FnOnce(Arc<[u8]>) -> Result<Decoded, String>,
+    ) -> Result<Arc<Decoded>, String> {
+        let slot = {
+            let mut entries = self.lock();
+            entries.tick += 1;
+            let tick = entries.tick;
+            match entries.map.get_mut(body) {
+                Some((slot, stamp)) => {
+                    *stamp = tick;
+                    Arc::clone(slot)
+                }
+                None => {
+                    let body: Arc<[u8]> = Arc::from(body);
+                    let slot = Arc::new(Slot {
+                        body: Arc::clone(&body),
+                        decoded: OnceLock::new(),
+                    });
+                    entries.map.insert(body, (Arc::clone(&slot), tick));
+                    slot
+                }
+            }
+        };
+        let mut decoded_here = false;
+        let result = slot.decoded.get_or_init(|| {
+            decoded_here = true;
+            decode(Arc::clone(&slot.body)).map(Arc::new)
+        });
+        match result {
+            Ok(decoded) => {
+                if decoded_here {
+                    self.lock().evict_beyond(self.capacity, &slot);
+                }
+                Ok(Arc::clone(decoded))
+            }
+            Err(message) => {
+                self.lock().remove(&slot);
+                Err(message.clone())
             }
         }
-        let cache = Arc::new(EngineCache::with_capacity(self.engine_capacity));
-        self.entries
-            .insert(key.to_string(), (Arc::clone(&cache), self.tick));
-        cache
     }
 
-    /// Aggregated hit/miss/eviction counters and total stored entries
-    /// across every live design cache.
-    fn aggregate(&self) -> (CacheStats, usize) {
-        let mut stats = CacheStats::default();
-        let mut entries = 0;
-        for (cache, _) in self.entries.values() {
-            stats = stats.merged(&cache.stats());
-            let (a, o) = cache.entry_counts();
-            entries += a + o;
-        }
-        (stats, entries)
-    }
-
-    /// Per-base-design `(fingerprint, stored entries, evictions)` rows,
-    /// sorted by fingerprint so the `/metrics` output is deterministic.
-    fn per_design(&self) -> Vec<(String, usize, u64)> {
-        let mut rows: Vec<(String, usize, u64)> = self
-            .entries
-            .iter()
-            .map(|(key, (cache, _))| {
-                let (a, o) = cache.entry_counts();
-                (design_fingerprint(key), a + o, cache.stats().evictions)
-            })
-            .collect();
-        rows.sort();
-        rows
+    /// Every decoded entry, for `/metrics`.
+    fn ready(&self) -> Vec<Arc<Decoded>> {
+        let entries = self.lock();
+        let slots = entries.map.values().map(|(slot, _)| slot);
+        slots.filter_map(|slot| slot.ready().cloned()).collect()
     }
 }
 
-/// Short stable identifier for a base design, for metric labels: FNV-1a
-/// over the canonical spec JSON the [`CacheLru`] is keyed by.
-fn design_fingerprint(key: &str) -> String {
-    format!("{:016x}", fnv1a(key.as_bytes()))
+impl Entries {
+    fn remove(&mut self, slot: &Arc<Slot>) {
+        self.map.retain(|_, (s, _)| !Arc::ptr_eq(s, slot));
+    }
+
+    /// Evicts the least recently used decoded entries other than `keep`
+    /// until at most `capacity` are decoded.
+    fn evict_beyond(&mut self, capacity: usize, keep: &Arc<Slot>) {
+        let mut others: Vec<(u64, Arc<Slot>)> = self
+            .map
+            .values()
+            .filter(|(slot, _)| slot.ready().is_some() && !Arc::ptr_eq(slot, keep))
+            .map(|(slot, stamp)| (*stamp, Arc::clone(slot)))
+            .collect();
+        others.sort_by_key(|(stamp, _)| *stamp);
+        let excess = (others.len() + 1).saturating_sub(capacity);
+        for (_, slot) in &others[..excess] {
+            self.remove(slot);
+        }
+    }
+}
+
+/// Aggregated hit/miss/eviction counters and total stored entries across
+/// the engine caches of `designs`.
+fn aggregate(designs: &[Arc<Decoded>]) -> (CacheStats, usize) {
+    let mut stats = CacheStats::default();
+    let mut entries = 0;
+    for decoded in designs {
+        stats = stats.merged(&decoded.cache.stats());
+        let (a, o) = decoded.cache.entry_counts();
+        entries += a + o;
+    }
+    (stats, entries)
+}
+
+/// Per-design `(fingerprint, stored entries, evictions)` rows, sorted by
+/// fingerprint so the `/metrics` output is deterministic. The fingerprint
+/// is the body's FNV-1a hash, so a body in canonical form
+/// ([`SystemSpec::to_json_pretty`]) keeps the label its canonical JSON had.
+fn per_design(designs: &[Arc<Decoded>]) -> Vec<(String, usize, u64)> {
+    let mut rows: Vec<(String, usize, u64)> = designs
+        .iter()
+        .map(|decoded| {
+            let (a, o) = decoded.cache.entry_counts();
+            let evictions = decoded.cache.stats().evictions;
+            (format!("{:016x}", decoded.hash), a + o, evictions)
+        })
+        .collect();
+    rows.sort();
+    rows
 }
 
 struct Inner {
     metrics: Metrics,
-    caches: Mutex<CacheLru>,
+    designs: DesignLru,
     sessions: SessionStore,
     /// `None` once shutdown has begun (taken by the drainer).
     pool: Mutex<Option<parx::Pool>>,
@@ -203,14 +320,6 @@ struct Inner {
 }
 
 impl Inner {
-    /// The warm engine cache of `spec`'s base design. The canonical JSON
-    /// key is built under the LRU lock, so concurrent requests for a
-    /// large spec never hold more than one such copy at a time.
-    fn cache_for(&self, spec: &SystemSpec) -> Arc<EngineCache> {
-        let mut caches = self.caches.lock().expect("cache lru poisoned");
-        caches.get(&spec.to_json_pretty())
-    }
-
     /// Runs `job` on the worker pool, waiting for its result. While the
     /// job runs, the connection socket (when given) is polled for EOF so
     /// a client that hangs up cancels its own in-flight work via
@@ -308,10 +417,7 @@ impl Server {
         let addr = listener.local_addr()?;
         let inner = Arc::new(Inner {
             metrics: Metrics::new(),
-            caches: Mutex::new(CacheLru::new(
-                config.design_cache_capacity,
-                config.cache_capacity,
-            )),
+            designs: DesignLru::new(config.design_cache_capacity, config.cache_capacity),
             sessions: SessionStore::new(config.session_capacity),
             pool: Mutex::new(Some(parx::Pool::new(
                 config.workers,
@@ -651,11 +757,8 @@ fn metrics(cx: &Ctx) -> Handled {
             )
         })
     };
-    let (stats, cache_entries, designs, per_design) = {
-        let caches = inner.caches.lock().expect("cache lru poisoned");
-        let (stats, entries) = caches.aggregate();
-        (stats, entries, caches.entries.len(), caches.per_design())
-    };
+    let designs = inner.designs.ready();
+    let (stats, cache_entries) = aggregate(&designs);
     let mut gauges: Vec<(&str, &str, f64)> = vec![
         (
             "ermesd_queue_depth",
@@ -675,8 +778,8 @@ fn metrics(cx: &Ctx) -> Handled {
         ),
         (
             "ermesd_design_caches",
-            "Distinct base designs with a live engine cache.",
-            designs as f64,
+            "Distinct spec bodies held decoded, each with its design and engine cache.",
+            designs.len() as f64,
         ),
         (
             "ermesd_cache_entries",
@@ -793,7 +896,8 @@ fn metrics(cx: &Ctx) -> Handled {
         sampled_counters.extend(cluster.metrics.sampled());
     }
     let mut body = inner.metrics.render(&gauges, &sampled_counters);
-    body.push_str(&crate::metrics::render_per_design_cache(&per_design));
+    let rows = per_design(&designs);
+    body.push_str(&crate::metrics::render_per_design_cache(&rows));
     body.push_str(&crate::metrics::render_phase_histograms());
     // Coordinator mode: federate every reachable worker's exposition,
     // each sample gaining a `node` label, so one scrape of the
@@ -1161,26 +1265,22 @@ impl Ctx<'_> {
     }
 }
 
-/// Decodes a posted spec and builds its design — once: the design moves
-/// into the job. Model-level constraints are checked here, so schema
-/// errors never consume a worker slot.
-fn spec_input(req: &Request) -> Result<(SystemSpec, Design), Response> {
-    let spec = parse_spec(body_text(req)?).map_err(bad_request)?;
-    match spec.to_design() {
-        Ok(design) => Ok((spec, design)),
-        Err(e) => Err(bad_request(format!("spec error: {e}"))),
-    }
+/// The posted spec, decoded through the design LRU: each distinct body
+/// is decoded once per daemon, and jobs that consume a design clone the
+/// entry's.
+fn spec_input(cx: &Ctx) -> Result<Arc<Decoded>, Response> {
+    cx.inner.designs.get(&cx.req.body).map_err(bad_request)
 }
 
-fn body_text(req: &Request) -> Result<&str, Response> {
-    std::str::from_utf8(&req.body).map_err(|_| bad_request("body is not UTF-8"))
+fn body_text(body: &[u8]) -> Result<&str, &'static str> {
+    std::str::from_utf8(body).map_err(|_| "body is not UTF-8")
 }
 
 /// The parse step of the five analysis endpoints.
-fn analysis_input(cx: &Ctx) -> Result<(SystemSpec, Design, AnalysisParams), Response> {
-    let (spec, design) = spec_input(cx.req)?;
+fn analysis_input(cx: &Ctx) -> Result<(Arc<Decoded>, AnalysisParams), Response> {
+    let decoded = spec_input(cx)?;
     let params = AnalysisParams::from_request(cx.req, cx.endpoint, cx.inner.default_deadline_ms);
-    Ok((spec, design, params.map_err(bad_request)?))
+    Ok((decoded, params.map_err(bad_request)?))
 }
 
 /// Per-request parameters of the analysis endpoints.
@@ -1239,29 +1339,24 @@ fn request_deadline(req: &Request, default_deadline_ms: u64) -> Result<Option<In
 }
 
 /// Runs an analysis command on this node: a pool job against the
-/// design's warm engine cache, whose output is the whole `200` body
-/// (the identity contract at the top of this module). `/order` and
-/// `/verify` look the cache up without using it, so `/metrics` counts
-/// every design served.
+/// decoded spec and its warm engine cache, whose output is the whole
+/// `200` body (the identity contract at the top of this module).
 fn run_locally(
     cx: &Ctx,
-    spec: SystemSpec,
+    decoded: Arc<Decoded>,
     params: &AnalysisParams,
-    command: impl FnOnce(&SystemSpec, &EngineCache, &CancelToken) -> Result<String, CliError>
-        + Send
-        + 'static,
+    command: impl FnOnce(&Decoded, &CancelToken) -> Result<String, CliError> + Send + 'static,
 ) -> Reply {
-    let cache = cx.inner.cache_for(&spec);
     let job = Job::pool(params.deadline, move |cancel| {
-        Ok(command(&spec, &cache, cancel)?)
+        Ok(command(&decoded, cancel)?)
     });
     cx.serve(job, |body| Response::text(200, body))
 }
 
 fn analyze(cx: &Ctx) -> Handled {
-    let (spec, design, params) = analysis_input(cx)?;
-    Ok(run_locally(cx, spec, &params, move |_, cache, cancel| {
-        analyze_design(&design, Some(cache), Some(cancel))
+    let (decoded, params) = analysis_input(cx)?;
+    Ok(run_locally(cx, decoded, &params, |d, cancel| {
+        analyze_design(&d.design, Some(&d.cache), Some(cancel))
     }))
 }
 
@@ -1270,53 +1365,49 @@ fn analyze(cx: &Ctx) -> Handled {
 /// which would change their bytes. `order` is one combinatorial pass
 /// with no iteration structure to poll; it always runs to completion.
 fn order(cx: &Ctx) -> Handled {
-    let (spec, _, params) = analysis_input(cx)?;
-    Ok(run_locally(cx, spec, &params, |spec, _, _| {
-        let (report, json) = cmd_order(spec)?;
+    let (decoded, params) = analysis_input(cx)?;
+    Ok(run_locally(cx, decoded, &params, |d, _| {
+        let (report, json) = cmd_order(&d.spec)?;
         Ok(format!("{report}{json}\n"))
     }))
 }
 
 fn verify(cx: &Ctx) -> Handled {
-    let (spec, _, params) = analysis_input(cx)?;
-    Ok(run_locally(cx, spec, &params, |spec, _, cancel| {
-        render_verify_system(&spec.to_system()?, Some(cancel))
+    let (decoded, params) = analysis_input(cx)?;
+    Ok(run_locally(cx, decoded, &params, |d, cancel| {
+        render_verify_system(&d.spec.to_system()?, Some(cancel))
     }))
 }
 
 /// In coordinator mode the exploration is forwarded to the fleet; when
 /// the cluster cannot serve it, it runs here, degraded but correct.
 fn explore(cx: &Ctx) -> Handled {
-    let (spec, design, params) = analysis_input(cx)?;
+    let (decoded, params) = analysis_input(cx)?;
     if let Some(cluster) = &cx.inner.cluster {
-        if let Some(reply) = forward_explore(cx, cluster, &spec, &params) {
+        if let Some(reply) = forward_explore(cx, cluster, &decoded, &params) {
             return Ok(reply);
         }
     }
     let (target, jobs) = (params.target, params.jobs);
-    Ok(run_locally(
-        cx,
-        spec,
-        &params,
-        move |spec, cache, cancel| {
-            let explored = explore_design(spec, design, target, jobs, cache, Some(cancel));
-            let (report, json) = explored?;
-            Ok(format!("{report}{json}\n"))
-        },
-    ))
+    Ok(run_locally(cx, decoded, &params, move |d, cancel| {
+        let design = d.design.clone();
+        let (report, json) = explore_design(&d.spec, design, target, jobs, &d.cache, Some(cancel))?;
+        Ok(format!("{report}{json}\n"))
+    }))
 }
 
 /// In coordinator mode each ladder target fans out to the fleet.
 fn sweep(cx: &Ctx) -> Handled {
-    let (spec, design, mut params) = analysis_input(cx)?;
+    let (decoded, mut params) = analysis_input(cx)?;
     if let Some(cluster) = &cx.inner.cluster {
-        if let Some(reply) = coordinator_sweep(cx, cluster, &spec, &design, &params) {
+        if let Some(reply) = coordinator_sweep(cx, cluster, &decoded, &params) {
             return Ok(reply);
         }
     }
     let targets = std::mem::take(&mut params.targets);
-    Ok(run_locally(cx, spec, &params, move |_, cache, cancel| {
-        sweep_design(design, &targets, params.jobs, cache, Some(cancel))
+    Ok(run_locally(cx, decoded, &params, move |d, cancel| {
+        let design = d.design.clone();
+        sweep_design(design, &targets, params.jobs, &d.cache, Some(cancel))
     }))
 }
 
@@ -1327,7 +1418,7 @@ fn sweep(cx: &Ctx) -> Handled {
 /// text. It runs through the same pipeline as the public endpoints, so
 /// coordinator retries see the same shedding statuses human clients do.
 fn sweep_point(cx: &Ctx) -> Handled {
-    let (spec, design) = spec_input(cx.req)?;
+    let decoded = spec_input(cx)?;
     let target: u64 = match cx.req.query_param("target") {
         None => return Err(bad_request("sweeppoint requires ?target=<cycles>")),
         Some(text) => text
@@ -1335,13 +1426,13 @@ fn sweep_point(cx: &Ctx) -> Handled {
             .map_err(|_| bad_request("target must be a non-negative integer"))?,
     };
     let deadline = cx.deadline()?;
-    let cache = cx.inner.cache_for(&spec);
     let options = ermes::SweepOptions {
         jobs: 1,
         memoize: true,
     };
     let job = Job::pool(deadline, move |cancel| {
-        let point = ermes::sweep_point(design, target, &options, &cache, Some(cancel));
+        let design = decoded.design.clone();
+        let point = ermes::sweep_point(design, target, &options, &decoded.cache, Some(cancel));
         Ok(point?)
     });
     let job = Job {
@@ -1356,9 +1447,9 @@ fn sweep_point(cx: &Ctx) -> Handled {
 /// bit-identical to `POST /analyze` on the same spec — plus an
 /// `x-ermes-session: {id}` header the client quotes back on edits.
 fn session_open(cx: &Ctx) -> Handled {
-    let (_, design) = spec_input(cx.req)?;
+    let decoded = spec_input(cx)?;
     let job = Job::pool(cx.deadline()?, move |cancel| {
-        let state = DeltaState::open_cancellable(design, Some(cancel))?;
+        let state = DeltaState::open_cancellable(decoded.design.clone(), Some(cancel))?;
         let body = render_session_report(&state);
         Ok((state, body))
     });
@@ -1376,7 +1467,8 @@ fn session_open(cx: &Ctx) -> Handled {
 /// first.
 fn session_edit(cx: &Ctx) -> Handled {
     let session = cx.session()?;
-    let edit = parse_edit(body_text(cx.req)?).map_err(bad_request)?;
+    let text = body_text(&cx.req.body).map_err(bad_request)?;
+    let edit = parse_edit(text).map_err(bad_request)?;
     let job = cx.session_job(
         session,
         cx.deadline()?,
@@ -1429,8 +1521,8 @@ fn session_response(id: u64, body: String) -> Response {
 }
 
 /// Coordinator path for `POST /explore`: the whole request is forwarded
-/// to the ring owner of `(spec, target)` — an exploration is one atomic
-/// greedy walk, so the unit of distribution is the request itself. The
+/// to the ring owner of `(body hash, target)` — an exploration is one
+/// atomic greedy walk, so the unit of distribution is the request. The
 /// worker's verdict (success or deterministic error) is relayed
 /// verbatim, which is what keeps the bytes identical to a local run.
 /// `None` means the cluster could not serve the job (all replicas
@@ -1438,18 +1530,18 @@ fn session_response(id: u64, body: String) -> Response {
 fn forward_explore(
     cx: &Ctx,
     cluster: &Arc<Cluster>,
-    spec: &SystemSpec,
+    decoded: &Decoded,
     params: &AnalysisParams,
 ) -> Option<Reply> {
     use std::fmt::Write as _;
     let run = |_: &CancelToken| {
-        let key = shard_key(&spec.to_json_pretty(), params.target);
+        let key = shard_key(decoded.hash, params.target);
         let mut target = format!("/explore?target={}", params.target);
         if params.jobs != 1 {
             let _ = write!(target, "&jobs={}", params.jobs);
         }
         cluster
-            .dispatch(key, "POST", &target, &cx.req.body)
+            .dispatch(key, "POST", &target, &decoded.body)
             .map_err(|_| {
                 cluster.metrics.record_degraded();
                 Failure::Degraded
@@ -1487,8 +1579,10 @@ fn relay(reply: ClientResponse) -> Response {
 }
 
 /// Coordinator path for `POST /sweep`: each ladder target is one subjob
-/// keyed by `(spec, target)`, so repeat sweeps of one design land on
+/// keyed by `(body hash, target)`, so repeat sweeps of one body land on
 /// the same — warm — workers while the ladder spreads over the fleet.
+/// Every subjob forwards the client's body as it came, one shared
+/// buffer, so a worker's design LRU decodes it once for the whole ladder.
 /// Subjobs the cluster cannot serve (retries exhausted, no live
 /// workers) are computed in-process: degraded mode trades throughput
 /// for availability, never correctness. Points come back as exact
@@ -1502,8 +1596,7 @@ fn relay(reply: ClientResponse) -> Response {
 fn coordinator_sweep(
     cx: &Ctx,
     cluster: &Arc<Cluster>,
-    spec: &SystemSpec,
-    design: &Design,
+    decoded: &Decoded,
     params: &AnalysisParams,
 ) -> Option<Reply> {
     let states = cluster.worker_states();
@@ -1511,15 +1604,8 @@ fn coordinator_sweep(
         cluster.metrics.record_degraded();
         return None;
     }
-    let spec_json = spec.to_json_pretty();
     let targets = &params.targets;
     let run = |cancel: &CancelToken| {
-        let cache = cx
-            .inner
-            .caches
-            .lock()
-            .expect("cache lru poisoned")
-            .get(&spec_json);
         let options = ermes::SweepOptions {
             jobs: 1,
             memoize: true,
@@ -1529,23 +1615,23 @@ fn coordinator_sweep(
         // count. `par_map` preserves ladder order in the gather, which
         // the prune's tie-break depends on.
         let outcomes = parx::par_map(targets.len().max(1), targets, |_, &target| {
-            let key = shard_key(&spec_json, target);
+            let key = shard_key(decoded.hash, target);
             let path = format!("/shard/sweeppoint?target={target}");
-            match cluster.dispatch(key, "POST", &path, spec_json.as_bytes()) {
+            match cluster.dispatch(key, "POST", &path, &decoded.body) {
                 // A 200 whose body does not parse is a worker bug or a
                 // truncation the transport missed; recompute rather
                 // than trust it.
                 Ok(reply) if reply.status == 200 => {
                     match parse_point_wire(&String::from_utf8_lossy(&reply.body)) {
                         Some(point) => Ok(point),
-                        None => local_point(cluster, design, target, &options, &cache, cancel),
+                        None => local_point(cluster, decoded, target, &options, cancel),
                     }
                 }
                 // A deterministic non-retryable verdict (e.g. `422` for a
                 // deadlocking configuration), relayed verbatim: exactly
                 // the bytes a local sweep reports for that target.
                 Ok(reply) => Err(Failure::Error(relay(reply))),
-                Err(_) => local_point(cluster, design, target, &options, &cache, cancel),
+                Err(_) => local_point(cluster, decoded, target, &options, cancel),
             }
         });
         // The first failure in ladder order wins, matching the serial
@@ -1580,10 +1666,9 @@ fn coordinator_sweep(
 /// even though clients never do.
 fn local_point(
     cluster: &Cluster,
-    design: &Design,
+    decoded: &Decoded,
     target: u64,
     options: &ermes::SweepOptions,
-    cache: &EngineCache,
     cancel: &CancelToken,
 ) -> Result<ermes::SweepPoint, Failure> {
     cluster.metrics.record_degraded();
@@ -1591,7 +1676,8 @@ fn local_point(
     // root span will close with `outcome=ok` (the client never sees
     // cluster trouble).
     trace::flight::flag(trace::current_context().trace_id(), "degraded");
-    let point = ermes::sweep_point(design.clone(), target, options, cache, Some(cancel));
+    let design = decoded.design.clone();
+    let point = ermes::sweep_point(design, target, options, &decoded.cache, Some(cancel));
     Ok(point?)
 }
 
@@ -1659,46 +1745,141 @@ fn cancelled_response(
 mod tests {
     use super::*;
 
+    use std::sync::atomic::AtomicUsize;
+
+    /// A two-process spec, distinct per `tag` (a channel latency).
+    fn body(tag: u64) -> Vec<u8> {
+        format!(
+            r#"{{"processes": [{{"name": "a", "latency": 2}}, {{"name": "b", "latency": 3}}],
+                "channels": [{{"name": "f", "from": "a", "to": "b", "latency": {tag}}},
+                             {{"name": "r", "from": "b", "to": "a", "latency": 1,
+                               "initial_tokens": 1}}]}}"#
+        )
+        .into_bytes()
+    }
+
+    /// The LRU's bodies with their last-use ticks, least recent first.
+    fn contents(lru: &DesignLru) -> Vec<(Vec<u8>, u64)> {
+        let entries = lru.lock();
+        let mut rows: Vec<(Vec<u8>, u64)> = entries
+            .map
+            .iter()
+            .map(|(key, (_, stamp))| (key.to_vec(), *stamp))
+            .collect();
+        rows.sort_by_key(|(_, stamp)| *stamp);
+        rows
+    }
+
     #[test]
     fn cache_lru_shares_and_evicts_by_recency() {
-        let mut lru = CacheLru::new(2, 16);
-        let a1 = lru.get("a");
-        let a2 = lru.get("a");
-        assert!(Arc::ptr_eq(&a1, &a2), "same design shares one cache");
-        let _b = lru.get("b");
-        let _a3 = lru.get("a"); // touch a, so b is now the oldest
-        let _c = lru.get("c"); // evicts b
-        assert!(lru.entries.contains_key("a"));
-        assert!(lru.entries.contains_key("c"));
-        assert!(!lru.entries.contains_key("b"), "LRU victim is b");
-        let a4 = lru.get("a");
-        assert!(Arc::ptr_eq(&a1, &a4), "survivor keeps its warmth");
+        let lru = DesignLru::new(2, 16);
+        let decodes = AtomicUsize::new(0);
+        let get = |b: &[u8]| {
+            let decoded = lru.get_with(b, |body| {
+                decodes.fetch_add(1, Ordering::Relaxed);
+                Decoded::new(body, 16)
+            });
+            decoded.expect("valid")
+        };
+        let (a, b, c) = (body(1), body(2), body(3));
+        let a1 = get(&a);
+        assert!(Arc::ptr_eq(&a1, &get(&a)), "same body shares one entry");
+        get(&b);
+        get(&a); // touch a, so b is now the oldest
+        get(&c); // evicts b
+        assert_eq!(decodes.load(Ordering::Relaxed), 3, "one decode per body");
+        let held: Vec<Vec<u8>> = contents(&lru).into_iter().map(|(k, _)| k).collect();
+        assert_eq!(held, [a.clone(), c], "LRU victim is b");
+        assert!(Arc::ptr_eq(&a1, &get(&a)), "survivor keeps its warmth");
+        get(&b);
+        assert_eq!(
+            decodes.load(Ordering::Relaxed),
+            4,
+            "an evicted body decodes again"
+        );
     }
 
     #[test]
     fn cache_lru_aggregates_stats_over_live_caches() {
-        let mut lru = CacheLru::new(4, 16);
-        let spec = SystemSpec::from_json(
-            r#"{
-                "processes": [
-                    {"name": "a", "latency": 2},
-                    {"name": "b", "latency": 3}
-                ],
-                "channels": [
-                    {"name": "f", "from": "a", "to": "b", "latency": 1},
-                    {"name": "r", "from": "b", "to": "a", "latency": 1, "initial_tokens": 1}
-                ]
-            }"#,
-        )
-        .expect("valid");
-        let design = spec.to_design().expect("valid");
-        let cache = lru.get("x");
-        cache.analyze(&design, 1);
-        cache.analyze(&design, 1);
-        let (stats, entries) = lru.aggregate();
+        let lru = DesignLru::new(4, 16);
+        let x = lru.get(&body(1)).expect("valid");
+        x.cache.analyze(&x.design, 1);
+        x.cache.analyze(&x.design, 1);
+        lru.get(&body(2)).expect("valid");
+        let designs = lru.ready();
+        let (stats, entries) = aggregate(&designs);
         assert_eq!(stats.analysis_misses, 1);
         assert_eq!(stats.analysis_hits, 1);
         assert_eq!(entries, 1);
+        let rows = per_design(&designs);
+        assert_eq!(rows.len(), 2);
+        let x_row = (format!("{:016x}", fnv1a(&body(1))), 1, 0);
+        assert!(rows.contains(&x_row), "{rows:?}");
+    }
+
+    #[test]
+    fn design_lru_decodes_a_body_once_for_concurrent_requests() {
+        const THREADS: usize = 8;
+        let lru = DesignLru::new(4, 16);
+        let decodes = AtomicUsize::new(0);
+        let b = body(1);
+        let decoded: Vec<Arc<Decoded>> = std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let decoded = lru.get_with(&b, |body| {
+                            decodes.fetch_add(1, Ordering::Relaxed);
+                            // Finish only once every thread holds the
+                            // slot (the map's reference plus one each),
+                            // so they all arrive while this decode runs.
+                            let waiting = || {
+                                let entries = lru.lock();
+                                Arc::strong_count(&entries.map[&body[..]].0)
+                            };
+                            let give_up = Instant::now() + Duration::from_secs(10);
+                            while waiting() < THREADS + 1 && Instant::now() < give_up {
+                                std::thread::yield_now();
+                            }
+                            Decoded::new(body, 16)
+                        });
+                        decoded.expect("valid")
+                    })
+                })
+                .collect();
+            let joined = threads.into_iter().map(|t| t.join());
+            joined
+                .collect::<Result<_, _>>()
+                .expect("no thread panicked")
+        });
+        assert_eq!(decodes.load(Ordering::Relaxed), 1, "one decode");
+        assert!(
+            decoded.iter().all(|d| Arc::ptr_eq(d, &decoded[0])),
+            "one entry"
+        );
+        assert_eq!(lru.ready().len(), 1);
+    }
+
+    #[test]
+    fn design_lru_failed_decodes_leave_it_as_it_was() {
+        let lru = DesignLru::new(2, 16);
+        lru.get(&body(1)).expect("valid");
+        lru.get(&body(2)).expect("valid");
+        let before = contents(&lru);
+        // Fails in `parse_spec`: a schema violation.
+        let bad_spec = br#"{"processes": [{"name": "p", "latency": -1}], "channels": []}"#;
+        let err = lru.get(bad_spec).map(drop).expect_err("negative latency");
+        assert!(err.contains("latency"), "{err}");
+        // Fails in `to_design`: a channel to an unknown process.
+        let bad_design = br#"{"processes": [{"name": "p", "latency": 1}],
+            "channels": [{"name": "c", "from": "p", "to": "ghost", "latency": 1}]}"#;
+        let err = lru.get(bad_design).map(drop).expect_err("unknown endpoint");
+        assert!(
+            err.starts_with("spec error:") && err.contains("ghost"),
+            "{err}"
+        );
+        let err = lru.get(b"\xff").map(drop).expect_err("binary");
+        assert_eq!(err, "body is not UTF-8");
+        assert_eq!(contents(&lru), before, "nothing added, evicted or touched");
     }
 
     #[test]

@@ -109,6 +109,23 @@ fn soc_spec(processes: usize, seed: u64) -> String {
     SystemSpec::from_design(&design).to_json_pretty()
 }
 
+/// `json` without the whitespace outside its string literals.
+fn compact_json(json: &str) -> String {
+    let (mut out, mut in_string, mut escaped) = (String::new(), false, false);
+    for c in json.chars() {
+        if in_string {
+            in_string = escaped || c != '"';
+            escaped = !escaped && c == '\\';
+        } else if c.is_whitespace() {
+            continue;
+        } else {
+            in_string = c == '"';
+        }
+        out.push(c);
+    }
+    out
+}
+
 /// What a single-node daemon answers for this sweep — the reference
 /// bytes every clustered response must reproduce exactly.
 fn single_node_sweep(path: &str, spec: &str) -> String {
@@ -461,6 +478,16 @@ fn injected_network_faults_retry_transparently_bit_identically() {
     );
 
     parx::faultpoint::deactivate();
+    // Workers decode the client's bytes as they came: a non-canonical
+    // copy of the spec sweeps to the same front.
+    let compact = compact_json(&spec);
+    assert!(compact.len() < spec.len());
+    let (status, body) = post(coord, PATH, &compact);
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(
+        body, expected,
+        "a compacted spec must sweep bit-identically"
+    );
     shutdown(coord, coord_handle);
     shutdown(worker_a, worker_a_handle);
     shutdown(worker_b, worker_b_handle);

@@ -358,6 +358,9 @@ fn malformed_inputs_map_to_clean_http_errors() {
     );
     assert_eq!(status, 400);
     assert!(body.contains("pareto"), "{body}");
+    // A body that fails to decode leaves no entry in the design LRU.
+    let (_, metrics) = get(addr, "/metrics");
+    assert_eq!(metric_value(&metrics, "ermesd_design_caches"), 0);
     // Missing required query parameter.
     let (status, body) = post(addr, "/explore", MOTIVATING);
     assert_eq!(status, 400);

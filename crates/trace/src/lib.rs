@@ -420,10 +420,18 @@ pub fn folded_trace(n: usize) -> String {
 /// context, so it is not a trace root ([`completed_trees`] skips it),
 /// but its id — captured via [`current_context`] while it was open —
 /// names exactly the subtree this node produced.
+///
+/// Only the root's trace is copied out of the journal: one pass finds
+/// the root, a second clones the records of its trace, the only ones a
+/// subtree can hold.
 #[must_use]
 pub fn subtree(root_id: u64) -> Option<SpanTree> {
-    let records = snapshot();
-    let root = records.iter().find(|r| r.id == root_id)?.clone();
+    subtree_in(journal(), root_id)
+}
+
+fn subtree_in(journal: &Journal, root_id: u64) -> Option<SpanTree> {
+    let root = journal.snapshot_where(|r| r.id == root_id).pop()?;
+    let records = journal.snapshot_where(|r| r.trace_id == root.trace_id);
     Some(tree::subtree_of(&records, root))
 }
 
@@ -690,6 +698,80 @@ mod tests {
         assert_eq!(tree.children[0].record.name, "howard");
         assert_eq!(tree.children[0].children[0].record.name, "ilp");
         assert!(subtree(root_id + 100_000).is_none());
+    }
+
+    #[test]
+    fn subtree_matches_the_full_snapshot_extraction() {
+        let _g = guard();
+        set_enabled(true);
+        reset();
+        // A worker request adopted under `ctx`, with nested engine spans;
+        // returns the request span's id.
+        fn worker_request(ctx: Context) -> u64 {
+            std::thread::spawn(move || {
+                let _a = adopt(ctx);
+                let _request = span("request");
+                let id = current_context().parent();
+                attr("endpoint", "shard_sweeppoint");
+                {
+                    let _t = span("sweep_target");
+                    let _h = span("howard");
+                }
+                let _c = span("cache");
+                id
+            })
+            .join()
+            .expect("worker thread")
+        }
+        // A coordinator fanning out to two in-process workers and, as
+        // `ermesd` does, grafting each worker's subtree back under its
+        // dispatch span as if from a remote host.
+        {
+            let _root = span("request");
+            for _ in 0..2 {
+                let _d = span("dispatch");
+                let ctx = current_context();
+                let worker = worker_request(ctx);
+                let tree = subtree(worker).expect("worker request closed");
+                let grafted = graft_tree(&tree, ctx, (now_ns(), now_ns()), "w:1", &[]);
+                assert!(grafted.is_some());
+            }
+        }
+        // Concurrent subjobs of one remote coordinator trace on this node,
+        // with remote ids far from any local one.
+        let remote = Context::from_parts(1 << 40, (1 << 40) + 1);
+        worker_request(remote);
+        worker_request(remote);
+        // An unrelated local trace.
+        {
+            let _r = span("job");
+            let _c = span("inner");
+        }
+        set_enabled(false);
+        let records = snapshot();
+        assert!(records.iter().any(|r| r.attr("host") == Some("w:1")));
+        // The extraction this one replaces: the whole journal, cloned.
+        let oracle = |journal: &Journal, root_id: u64| {
+            let records = journal.snapshot();
+            let root = records.iter().find(|r| r.id == root_id)?.clone();
+            Some(tree::subtree_of(&records, root))
+        };
+        // Whole journals, and wrapped ones whose overwritten records
+        // leave orphans and truncated trees, in two push orders.
+        let reversed: Vec<SpanRecord> = records.iter().rev().cloned().collect();
+        for order in [&records, &reversed] {
+            for capacity in [order.len(), order.len() / 2, order.len() / 3] {
+                let journal = Journal::with_capacity(capacity);
+                for record in order {
+                    journal.push(record.clone());
+                }
+                for record in journal.snapshot() {
+                    let got = subtree_in(&journal, record.id);
+                    assert_eq!(got, oracle(&journal, record.id), "root {}", record.name);
+                }
+                assert!(subtree_in(&journal, u64::MAX).is_none());
+            }
+        }
     }
 
     #[test]

@@ -83,10 +83,18 @@ impl Journal {
     /// as a whole is a near-point-in-time view, not an atomic one.
     #[must_use]
     pub fn snapshot(&self) -> Vec<SpanRecord> {
+        self.snapshot_where(|_| true)
+    }
+
+    /// [`Journal::snapshot`] of only the records `keep` accepts. `keep`
+    /// sees each record under its slot's mutex, before anything is
+    /// copied, so a narrow filter clones only what it keeps.
+    #[must_use]
+    pub fn snapshot_where(&self, keep: impl Fn(&SpanRecord) -> bool) -> Vec<SpanRecord> {
         let mut live: Vec<(u64, SpanRecord)> = self
             .slots
             .iter()
-            .filter_map(|s| lock(&s.cell).clone())
+            .filter_map(|s| lock(&s.cell).as_ref().filter(|(_, r)| keep(r)).cloned())
             .collect();
         live.sort_by_key(|(seq, _)| *seq);
         live.into_iter().map(|(_, r)| r).collect()
