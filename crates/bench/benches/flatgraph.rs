@@ -1,15 +1,14 @@
 //! Micro-benchmarks for the flat-graph (CSR) hot paths at the paper's
-//! scale points: lowering, Howard analysis, ordering refinement, and
-//! MCKP presolve, each at soc:1k and soc:10k.
+//! scale points: lowering, Howard analysis and ordering refinement, each
+//! at soc:1k and soc:10k.
 //!
-//! These are the four paths the CSR refactor touches — per-node `Vec`
+//! These are the paths the CSR refactor touches — per-node `Vec`
 //! adjacency replaced by offset arrays in the lowering and the ratio
-//! graph, a reused Howard scratch arena, in-place swap evaluation in
-//! refinement, and SoA column streaming in the presolve — so this suite
-//! is where a layout regression shows up first.
+//! graph, a reused Howard scratch arena, and in-place swap evaluation in
+//! refinement — so this suite is where a layout regression shows up
+//! first.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ilp::{Problem, Sense};
 use std::hint::black_box;
 use sysgraph::lower_to_tmg;
 
@@ -59,66 +58,5 @@ fn bench_order(c: &mut Criterion) {
     group.finish();
 }
 
-/// Area-recovery-shaped MCKP: one `Σx = 1` group per process, four
-/// implementations each, and one shared capacity row naming every tenth
-/// group — the shape whose presolve the SoA column table streams over.
-///
-/// Deliberately presolve-bound: in non-capacity groups the best-objective
-/// implementation dominates the rest (no other rows), so dominance
-/// collapses 90 % of the groups; in capacity groups objective and usage
-/// both rise with `i`, so every pairwise two-pointer merge runs but
-/// nothing prunes. The capacity is non-binding and objectives within a
-/// group are strict, so dominance has real work at every rung.
-fn mckp_problem(groups: usize) -> Problem {
-    let mut p = Problem::new();
-    let mut cap_terms = Vec::new();
-    for g in 0..groups {
-        let vars: Vec<_> = (0..4)
-            .map(|i| {
-                let v = p.add_binary(format!("x{g}_{i}"));
-                p.set_objective_coeff(v, i as f64 * (1.0 + (g % 5) as f64 * 0.1));
-                if g % 10 == 0 {
-                    cap_terms.push((v, (i + 1) as f64));
-                }
-                v
-            })
-            .collect();
-        p.add_constraint(
-            format!("one{g}"),
-            vars.iter().map(|&v| (v, 1.0)).collect(),
-            Sense::Eq,
-            1.0,
-        );
-    }
-    p.add_constraint("cap", cap_terms, Sense::Le, groups as f64 / 2.0 + 8.0);
-    p
-}
-
-fn bench_presolve(c: &mut Criterion) {
-    let mut group = c.benchmark_group("flatgraph_presolve");
-    group.sample_size(10);
-    for &n in &SIZES {
-        let p = mckp_problem(n);
-        // Each non-capacity group pins all four members: three dominated
-        // to 0, the survivor propagated to 1.
-        let expected = (n - n.div_ceil(10)) * 4;
-        assert_eq!(
-            ilp::presolve_eliminated(&p),
-            expected,
-            "dominance must collapse every non-capacity group"
-        );
-        group.bench_with_input(BenchmarkId::new("presolve", n), &p, |b, p| {
-            b.iter(|| black_box(ilp::presolve_eliminated(p)));
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_lower,
-    bench_howard,
-    bench_order,
-    bench_presolve
-);
+criterion_group!(benches, bench_lower, bench_howard, bench_order);
 criterion_main!(benches);

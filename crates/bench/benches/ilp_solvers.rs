@@ -1,8 +1,8 @@
-//! Benchmarks the ILP paths (exact branch & bound vs multiple-choice
-//! knapsack DP vs greedy) on area-recovery-shaped problems.
+//! Benchmarks the exact selection engine on area-recovery-shaped
+//! knapsacks.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ilp::{solve_multiple_choice_knapsack, McItem, Problem, Sense};
+use ilp::{solve_multiple_choice_knapsack, McItem};
 use std::hint::black_box;
 
 fn instance(groups: usize, items: usize) -> Vec<Vec<McItem>> {
@@ -23,35 +23,9 @@ fn bench_ilp(c: &mut Criterion) {
     group.sample_size(10);
     for &g in &[8usize, 16, 26] {
         let groups = instance(g, 6);
-        let cap = (g * 6) as i64;
-        group.bench_with_input(BenchmarkId::new("mckp_dp", g), &groups, |b, gr| {
-            b.iter(|| black_box(solve_multiple_choice_knapsack(gr, cap)));
-        });
-        group.bench_with_input(BenchmarkId::new("branch_bound", g), &groups, |b, gr| {
-            b.iter(|| {
-                let mut p = Problem::new();
-                let mut cap_terms = Vec::new();
-                for (gi, items) in gr.iter().enumerate() {
-                    let vars: Vec<_> = items
-                        .iter()
-                        .enumerate()
-                        .map(|(i, item)| {
-                            let v = p.add_binary(format!("x{gi}_{i}"));
-                            p.set_objective_coeff(v, item.value);
-                            cap_terms.push((v, item.weight as f64));
-                            v
-                        })
-                        .collect();
-                    p.add_constraint(
-                        format!("one{gi}"),
-                        vars.iter().map(|&v| (v, 1.0)).collect(),
-                        Sense::Eq,
-                        1.0,
-                    );
-                }
-                p.add_constraint("cap", cap_terms, Sense::Le, cap as f64);
-                black_box(p.solve())
-            });
+        let cap = Some((g * 6) as i64);
+        group.bench_with_input(BenchmarkId::new("mckp_engine", g), &groups, |b, gr| {
+            b.iter(|| black_box(solve_multiple_choice_knapsack(gr, cap, &[])));
         });
     }
     group.finish();

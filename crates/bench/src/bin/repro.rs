@@ -390,23 +390,7 @@ fn phases_json(targets: &[u64], jobs: usize, rows: &[experiments::PhaseBreakdown
         out.push_str(&format!("      \"wall_ms\": {:.3},\n", row.wall_ms));
         out.push_str(&format!("      \"ilp_ms\": {:.3},\n", row.phase_ms("ilp")));
         out.push_str(&format!("      \"ilp_solves\": {},\n", row.ilp.solves));
-        out.push_str(&format!("      \"ilp_nodes\": {},\n", row.ilp.nodes));
-        out.push_str(&format!(
-            "      \"warmstart_hits\": {},\n",
-            row.ilp.warmstart_hits
-        ));
-        out.push_str(&format!(
-            "      \"warmstart_misses\": {},\n",
-            row.ilp.warmstart_misses
-        ));
-        out.push_str(&format!(
-            "      \"warmstart_rate\": {:.4},\n",
-            row.ilp.warmstart_rate()
-        ));
-        out.push_str(&format!(
-            "      \"presolve_fixed\": {}\n",
-            row.ilp.presolve_fixed
-        ));
+        out.push_str(&format!("      \"ilp_nodes\": {}\n", row.ilp.nodes));
         out.push_str(if i + 1 == rows.len() {
             "    }\n"
         } else {
@@ -432,13 +416,8 @@ fn run_phases(jobs: usize) {
             );
         }
         println!(
-            "  ilp solver: {} solves, {} nodes, warm-start {}/{} ({:.0}%), {} presolve-fixed",
-            row.ilp.solves,
-            row.ilp.nodes,
-            row.ilp.warmstart_hits,
-            row.ilp.warmstart_hits + row.ilp.warmstart_misses,
-            100.0 * row.ilp.warmstart_rate(),
-            row.ilp.presolve_fixed
+            "  ilp solver: {} solves, {} nodes",
+            row.ilp.solves, row.ilp.nodes
         );
     }
     let json = phases_json(&targets, jobs, &rows);

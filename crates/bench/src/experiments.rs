@@ -643,9 +643,8 @@ pub struct PhaseBreakdownRow {
     /// sorted by total time descending. Phases overlap (a `howard` span
     /// runs inside an `analysis` span), so the totals exceed wall time.
     pub phases: Vec<(&'static str, u64, f64)>,
-    /// ILP solver counter increments attributable to this stage
-    /// (solves, branch & bound nodes, warm-start hits/misses,
-    /// presolve-fixed variables).
+    /// Selection-engine counter increments attributable to this stage
+    /// (solves and branch & bound nodes).
     pub ilp: ilp::IlpStats,
 }
 

@@ -42,8 +42,8 @@ Every analysis command also accepts:
     --trace-out-folded <file> write collapsed stacks (`a;b;c weight_ns`
                               lines) for flamegraph tooling
     --trace-summary           print per-phase time, cache hit rate, ILP
-                              solver counters (nodes, warm-start hits),
-                              and the slowest SCCs after the output
+                              solver counters (solves, nodes), and the
+                              slowest SCCs after the output
 
 Tracing stays off (a single atomic check per engine phase) unless one of
 the flags is given; results are bit-identical either way.
@@ -328,15 +328,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         print!("\n{}", trace::summary_report());
         let ilp = ilp::stats();
         if ilp.solves > 0 {
-            println!(
-                "ilp solver: {} solves, {} nodes, warm-start {}/{} ({:.0}%), {} presolve-fixed",
-                ilp.solves,
-                ilp.nodes,
-                ilp.warmstart_hits,
-                ilp.warmstart_hits + ilp.warmstart_misses,
-                100.0 * ilp.warmstart_rate(),
-                ilp.presolve_fixed
-            );
+            println!("ilp solver: {} solves, {} nodes", ilp.solves, ilp.nodes);
         }
     }
     Ok(())

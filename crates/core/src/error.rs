@@ -29,8 +29,6 @@ pub enum ErmesError {
     /// A proposed channel reordering was rejected by the system graph
     /// (e.g. not a permutation of the process's channels).
     Ordering(sysgraph::SysGraphError),
-    /// The underlying ILP solver failed.
-    Ilp(ilp::SolveError),
     /// The computation was cooperatively cancelled (deadline expiry,
     /// client disconnect, or service shutdown) before it finished.
     /// `completed`/`total` report partial progress in the unit of the
@@ -66,7 +64,6 @@ impl fmt::Display for ErmesError {
             ),
             ErmesError::Deadlock => write!(f, "system deadlocks under every produced ordering"),
             ErmesError::Ordering(e) => write!(f, "invalid channel reordering: {e}"),
-            ErmesError::Ilp(e) => write!(f, "ilp solver failed: {e}"),
             ErmesError::Cancelled {
                 reason,
                 completed,
@@ -79,16 +76,9 @@ impl fmt::Display for ErmesError {
 impl Error for ErmesError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
-            ErmesError::Ilp(e) => Some(e),
             ErmesError::Ordering(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<ilp::SolveError> for ErmesError {
-    fn from(e: ilp::SolveError) -> Self {
-        ErmesError::Ilp(e)
     }
 }
 
@@ -100,9 +90,11 @@ mod tests {
     fn error_is_well_behaved() {
         fn assert_traits<T: Error + Send + Sync + 'static>() {}
         assert_traits::<ErmesError>();
-        let e = ErmesError::Ilp(ilp::SolveError::Infeasible);
+        let e = ErmesError::Ordering(sysgraph::SysGraphError::SelfChannel(
+            sysgraph::ProcessId::from_index(0),
+        ));
         assert!(e.source().is_some());
-        assert!(e.to_string().contains("infeasible"));
+        assert!(e.to_string().contains("invalid channel reordering"));
     }
 
     #[test]

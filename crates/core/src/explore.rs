@@ -14,7 +14,7 @@ use crate::analysis::{
 use crate::cache::EngineCache;
 use crate::design::Design;
 use crate::error::ErmesError;
-use crate::opt::{area_recovery_with, timing_optimization_with, OptContext, OptStrategy};
+use crate::opt::{area_recovery, timing_optimization, OptStrategy};
 use sysgraph::ProcessId;
 use tmg::Ratio;
 
@@ -250,7 +250,7 @@ fn ceil_deficit(cycle_time: Ratio, target: u64) -> i64 {
 ///
 /// [`ErmesError::Deadlock`] if the system deadlocks even after
 /// reordering (only possible for topologies that are starved regardless
-/// of statement order); [`ErmesError::Ilp`] on solver failure.
+/// of statement order).
 ///
 /// # Examples
 ///
@@ -353,11 +353,6 @@ pub fn explore_with(
     };
     let mut incumbent = iterations[0].clone();
     let mut stalled = 0usize;
-    // One solver context for the whole run: consecutive selection ILPs
-    // differ only by a few no-good cuts, so the optimal basis of each
-    // iteration warm-starts the next (Solver falls back to a cold solve
-    // whenever the problem changed shape).
-    let mut opt_ctx = OptContext::new(config.strategy);
 
     for index in 1..=config.max_iterations {
         let _iteration_span = trace::span("iteration");
@@ -372,23 +367,21 @@ pub fn explore_with(
         let action = choose_action(cycle_time, config.target_cycle_time);
         trace::attr("action", format!("{action:?}"));
         let proposal = match action {
-            StepAction::AreaRecovery => area_recovery_with(
+            StepAction::AreaRecovery => area_recovery(
                 &design,
                 &report.critical_processes,
                 floor_slack(cycle_time, config.target_cycle_time),
                 &visited,
                 Some(config.target_cycle_time),
                 config.strategy,
-                &mut opt_ctx,
-            )?,
-            StepAction::TimingOptimization => timing_optimization_with(
+            ),
+            StepAction::TimingOptimization => timing_optimization(
                 &design,
                 &report.critical_processes,
                 ceil_deficit(cycle_time, config.target_cycle_time),
                 &visited,
                 config.strategy,
-                &mut opt_ctx,
-            )?,
+            ),
             StepAction::Initial | StepAction::Converged => {
                 unreachable!("choose_action returns an optimization step")
             }

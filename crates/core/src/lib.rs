@@ -81,10 +81,7 @@ pub use explore::{
     explore, explore_with, reordering_gain, ExplorationConfig, ExplorationTrace, ExploreOptions,
     IterationRecord, StepAction,
 };
-pub use opt::{
-    area_recovery, area_recovery_with, timing_optimization, timing_optimization_with, IpSelection,
-    OptContext, OptStrategy,
-};
+pub use opt::{area_recovery, timing_optimization, IpSelection, OptStrategy};
 pub use sweep::{
     pareto_sweep, pareto_sweep_cached, pareto_sweep_cancellable, pareto_sweep_with, prune_front,
     sweep_point, SweepOptions, SweepPoint, SweepReport,

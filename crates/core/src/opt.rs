@@ -2,23 +2,22 @@
 //!
 //! Section 5 of the paper. Given the performance slack `sp = TCT − CT`:
 //!
-//! - **Area recovery** (`sp > 0`): re-select implementations to maximize
+//! - **Area recovery** (`sp ≥ 0`): re-select implementations to maximize
 //!   the cumulative area gain, subject to the cumulative latency increase
-//!   of the processes on the critical cycle staying within the slack — a
-//!   multiple-choice knapsack, formulated as a 0/1 ILP.
-//! - **Timing optimization** (`sp ≤ 0`): re-select implementations of the
+//!   of the processes on the critical cycle staying within the slack.
+//! - **Timing optimization** (`sp < 0`): re-select implementations of the
 //!   critical-cycle processes to maximize the cumulative latency gain.
 //!
-//! Both formulations carry *no-good cuts* that "discard the
-//! configurations already optimized" (the paper's termination device),
-//! and both exist in two interchangeable strategies: the exact ILP
-//! (simplex + branch & bound, as the paper's GLPK) and a greedy heuristic
-//! for the 10,000-process scalability benchmarks where a dense-tableau
-//! exact solve would dominate runtime.
+//! Both are multiple-choice knapsacks — each process adopts exactly one
+//! Pareto point — with *no-good cuts* that "discard the configurations
+//! already optimized" (the paper's termination device). Both exist in two
+//! strategies: the exact knapsack engine
+//! ([`ilp::solve_multiple_choice_knapsack`], where the paper uses GLPK)
+//! and a greedy heuristic for the 10,000-process scalability benchmarks,
+//! where an exact solve would dominate runtime.
 
 use crate::design::Design;
-use crate::error::ErmesError;
-use ilp::{Problem, Sense, VarId};
+use ilp::{solve_multiple_choice_knapsack, McItem};
 use sysgraph::ProcessId;
 
 /// A proposed re-selection of implementations.
@@ -33,8 +32,7 @@ pub struct IpSelection {
 /// Solver strategy for the selection problems.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OptStrategy {
-    /// Exact 0/1 ILP (bounded-variable simplex + branch & bound, with
-    /// warm-started bases when an [`OptContext`] is carried across calls).
+    /// The exact multiple-choice knapsack engine.
     Exact,
     /// Greedy frontier walk (used for very large designs).
     Greedy,
@@ -42,11 +40,6 @@ pub enum OptStrategy {
     /// [`OptStrategy::Greedy`].
     #[default]
     Auto,
-    /// [`OptStrategy::Exact`] pinned to the frozen seed engine (two-phase
-    /// simplex, DFS branch & bound, no warm starts). Selected solutions
-    /// are bit-identical to [`OptStrategy::Exact`]; this variant exists
-    /// for differential tests and the `ilpbench` A/B benchmark.
-    ExactSeed,
 }
 
 const AUTO_EXACT_LIMIT: usize = 400;
@@ -64,43 +57,42 @@ fn resolve(strategy: OptStrategy, variables: usize) -> OptStrategy {
     }
 }
 
-/// Reusable solver state carried across the selection problems of one
-/// exploration run.
-///
-/// Consecutive ILPs of the loop differ only by a handful of no-good
-/// cuts and the shifting current selection, so each problem class keeps
-/// its own [`ilp::Solver`] whose saved root basis warm-starts the next
-/// solve (the solver falls back to a cold start whenever the dimensions
-/// changed too much for the basis to reinstate). Construct one per
-/// exploration and pass it to the `*_with` entry points; the one-shot
-/// [`area_recovery`] / [`timing_optimization`] wrappers build a fresh
-/// (cold) context per call.
-#[derive(Debug, Default)]
-pub struct OptContext {
-    area: ilp::Solver,
-    timing_dual: ilp::Solver,
-    timing_max: ilp::Solver,
+/// A selection problem in the engine's terms: one group per modeled
+/// process, in process order.
+#[derive(Debug)]
+struct Knapsack {
+    /// The modeled processes.
+    processes: Vec<usize>,
+    /// Per group, its items.
+    groups: Vec<Vec<McItem>>,
+    /// Per group, the Pareto index each item stands for.
+    points: Vec<Vec<usize>>,
+    capacity: Option<i64>,
+    /// The visited configurations this problem can express, as item
+    /// indexes per group.
+    forbidden: Vec<Vec<usize>>,
 }
 
-impl OptContext {
-    /// A fresh context whose solvers match `strategy`
-    /// ([`OptStrategy::ExactSeed`] pins the frozen seed engine; every
-    /// other strategy uses the bounded-variable engine).
-    #[must_use]
-    pub fn new(strategy: OptStrategy) -> Self {
-        let make = || {
-            if strategy == OptStrategy::ExactSeed {
-                ilp::Solver::seed_reference()
-            } else {
-                ilp::Solver::new()
-            }
-        };
-        OptContext {
-            area: make(),
-            timing_dual: make(),
-            timing_max: make(),
+impl Knapsack {
+    /// The engine's answer as a full selection: unmodeled processes keep
+    /// their current implementation.
+    fn solve(&self, design: &Design) -> Option<IpSelection> {
+        let best = solve_multiple_choice_knapsack(&self.groups, self.capacity, &self.forbidden)?;
+        let mut selection = design.selection().to_vec();
+        for ((&p, points), &choice) in self.processes.iter().zip(&self.points).zip(&best.choices) {
+            selection[p] = points[choice];
         }
+        Some(IpSelection {
+            selection,
+            objective: best.value,
+        })
     }
+}
+
+/// `latency − current` in cycles, saturated to the `i64` range.
+fn latency_delta(latency: u64, current: u64) -> i64 {
+    let delta = i128::from(latency) - i128::from(current);
+    i64::try_from(delta).unwrap_or(if delta < 0 { i64::MIN } else { i64::MAX })
 }
 
 /// Area recovery: maximize total area gain while the critical-cycle
@@ -112,10 +104,7 @@ impl OptContext {
 /// latencies — a lower bound on any cycle through it) past the target are
 /// excluded up front; this is the paper's "maintaining CT < TCT" side
 /// condition on the knapsack.
-///
-/// # Errors
-///
-/// Propagates ILP failures as [`ErmesError::Ilp`].
+#[must_use]
 pub fn area_recovery(
     design: &Design,
     critical: &[ProcessId],
@@ -123,34 +112,7 @@ pub fn area_recovery(
     forbidden: &[Vec<usize>],
     target_cycle_time: Option<u64>,
     strategy: OptStrategy,
-) -> Result<Option<IpSelection>, ErmesError> {
-    let mut ctx = OptContext::new(strategy);
-    area_recovery_with(
-        design,
-        critical,
-        slack,
-        forbidden,
-        target_cycle_time,
-        strategy,
-        &mut ctx,
-    )
-}
-
-/// [`area_recovery`] with a caller-owned [`OptContext`], so the optimal
-/// basis of this solve warm-starts the next one.
-///
-/// # Errors
-///
-/// Propagates ILP failures as [`ErmesError::Ilp`].
-pub fn area_recovery_with(
-    design: &Design,
-    critical: &[ProcessId],
-    slack: i64,
-    forbidden: &[Vec<usize>],
-    target_cycle_time: Option<u64>,
-    strategy: OptStrategy,
-    ctx: &mut OptContext,
-) -> Result<Option<IpSelection>, ErmesError> {
+) -> Option<IpSelection> {
     let variables: usize = design
         .system()
         .process_ids()
@@ -158,10 +120,10 @@ pub fn area_recovery_with(
         .sum();
     let caps = latency_caps(design, target_cycle_time);
     match resolve(strategy, variables) {
-        OptStrategy::Greedy => Ok(area_recovery_greedy(
-            design, critical, slack, forbidden, &caps,
-        )),
-        _ => area_recovery_exact(design, critical, slack, forbidden, &caps, &mut ctx.area),
+        OptStrategy::Greedy => area_recovery_greedy(design, critical, slack, forbidden, &caps),
+        _ => area_knapsack(design, critical, slack, forbidden, &caps)
+            .solve(design)
+            .filter(|s| s.objective > 1e-9),
     }
 }
 
@@ -191,58 +153,63 @@ fn is_critical(design: &Design, critical: &[ProcessId]) -> Vec<bool> {
     v
 }
 
-fn area_recovery_exact(
+/// The area-recovery knapsack: every process is a group of the
+/// implementations within its latency cap (plus the current one, so the
+/// problem stays feasible), worth their area gain; the latency increase
+/// of critical processes consumes the slack.
+fn area_knapsack(
     design: &Design,
     critical: &[ProcessId],
     slack: i64,
     forbidden: &[Vec<usize>],
     caps: &[u64],
-    solver: &mut ilp::Solver,
-) -> Result<Option<IpSelection>, ErmesError> {
+) -> Knapsack {
     let sys = design.system();
     let crit = is_critical(design, critical);
-    let mut problem = Problem::new();
-    let mut vars: Vec<Vec<Option<VarId>>> = Vec::with_capacity(sys.process_count());
-    let mut latency_terms: Vec<(VarId, f64)> = Vec::new();
+    let mut knapsack = Knapsack {
+        processes: Vec::with_capacity(sys.process_count()),
+        groups: Vec::with_capacity(sys.process_count()),
+        points: Vec::with_capacity(sys.process_count()),
+        capacity: (!critical.is_empty()).then_some(slack),
+        forbidden: Vec::new(),
+    };
     for p in sys.process_ids() {
-        let set = design.pareto(p);
-        let current_latency = design.latency(p) as f64;
+        let current_latency = design.latency(p);
         let current_area = design.process_area(p);
-        let mut row: Vec<Option<VarId>> = Vec::with_capacity(set.len());
-        let mut ones: Vec<(VarId, f64)> = Vec::new();
-        for (i, m) in set.points().iter().enumerate() {
-            // Implementations that provably bust the target are excluded,
-            // except the current one (to keep the problem feasible).
+        let (mut items, mut points) = (Vec::new(), Vec::new());
+        for (i, m) in design.pareto(p).points().iter().enumerate() {
             if m.latency > caps[p.index()] && i != design.selected(p) {
-                row.push(None);
                 continue;
             }
-            let v = problem.add_binary(format!("x_{}_{}", p.index(), i));
-            problem.set_objective_coeff(v, current_area - m.area);
-            if crit[p.index()] {
-                // Latency *increase* consumes slack.
-                latency_terms.push((v, m.latency as f64 - current_latency));
-            }
-            ones.push((v, 1.0));
-            row.push(Some(v));
+            let weight = if crit[p.index()] {
+                latency_delta(m.latency, current_latency)
+            } else {
+                0
+            };
+            items.push(McItem {
+                value: current_area - m.area,
+                weight,
+            });
+            points.push(i);
         }
-        problem.add_constraint(format!("one_{}", p.index()), ones, Sense::Eq, 1.0);
-        vars.push(row);
+        knapsack.processes.push(p.index());
+        knapsack.groups.push(items);
+        knapsack.points.push(points);
     }
-    if !latency_terms.is_empty() {
-        problem.add_constraint("slack", latency_terms, Sense::Le, slack as f64);
-    }
-    add_no_good_cuts(&mut problem, &vars, forbidden);
-
-    let solution = match solver.solve(&problem) {
-        Ok(s) => s,
-        Err(ilp::SolveError::Infeasible) => return Ok(None),
-        Err(e) => return Err(e.into()),
-    };
-    if solution.objective <= 1e-9 {
-        return Ok(None);
-    }
-    Ok(Some(extract_selection(design, &vars, &solution)))
+    // A visited configuration that selects an excluded implementation
+    // cannot be produced by this problem: it needs no cut.
+    knapsack.forbidden = forbidden
+        .iter()
+        .filter_map(|f| {
+            let expressed: Option<Vec<usize>> = f
+                .iter()
+                .zip(&knapsack.points)
+                .map(|(s, points)| points.iter().position(|i| i == s))
+                .collect();
+            expressed.filter(|e| !e.is_empty())
+        })
+        .collect();
+    knapsack
 }
 
 fn area_recovery_greedy(
@@ -324,41 +291,18 @@ fn area_recovery_greedy(
 /// unreachable it falls back to maximizing the latency gain outright.
 /// Non-critical selections stay fixed. Returns `None` when no
 /// configuration strictly reduces the critical latency.
-///
-/// # Errors
-///
-/// Propagates ILP failures as [`ErmesError::Ilp`].
+#[must_use]
 pub fn timing_optimization(
     design: &Design,
     critical: &[ProcessId],
     deficit: i64,
     forbidden: &[Vec<usize>],
     strategy: OptStrategy,
-) -> Result<Option<IpSelection>, ErmesError> {
-    let mut ctx = OptContext::new(strategy);
-    timing_optimization_with(design, critical, deficit, forbidden, strategy, &mut ctx)
-}
-
-/// [`timing_optimization`] with a caller-owned [`OptContext`], so the
-/// optimal basis of this solve warm-starts the next one.
-///
-/// # Errors
-///
-/// Propagates ILP failures as [`ErmesError::Ilp`].
-pub fn timing_optimization_with(
-    design: &Design,
-    critical: &[ProcessId],
-    deficit: i64,
-    forbidden: &[Vec<usize>],
-    strategy: OptStrategy,
-    ctx: &mut OptContext,
-) -> Result<Option<IpSelection>, ErmesError> {
+) -> Option<IpSelection> {
     let variables: usize = critical.iter().map(|&p| design.pareto(p).len()).sum();
     match resolve(strategy, variables) {
-        OptStrategy::Greedy => Ok(timing_optimization_greedy(
-            design, critical, deficit, forbidden,
-        )),
-        _ => timing_optimization_exact(design, critical, deficit, forbidden, ctx),
+        OptStrategy::Greedy => timing_optimization_greedy(design, critical, deficit, forbidden),
+        _ => timing_optimization_exact(design, critical, deficit, forbidden),
     }
 }
 
@@ -367,155 +311,73 @@ fn timing_optimization_exact(
     critical: &[ProcessId],
     deficit: i64,
     forbidden: &[Vec<usize>],
-    ctx: &mut OptContext,
-) -> Result<Option<IpSelection>, ErmesError> {
+) -> Option<IpSelection> {
     // Primary: minimize area increase subject to gain >= deficit.
     if deficit > 0 {
-        if let Some(sel) =
-            timing_dual_exact(design, critical, deficit, forbidden, &mut ctx.timing_dual)?
-        {
-            return Ok(Some(sel));
+        let dual = timing_knapsack(design, critical, forbidden, Some(-deficit), |m, p| McItem {
+            // Maximize area gain == minimize area increase.
+            value: design.process_area(p) - m.area,
+            weight: latency_delta(m.latency, design.latency(p)),
+        });
+        if let Some(sel) = dual.solve(design) {
+            if sel.selection != design.selection() {
+                return Some(sel);
+            }
         }
     }
     // Fallback: the deficit is unreachable — buy all the speed there is.
-    timing_max_gain_exact(design, critical, forbidden, &mut ctx.timing_max)
+    let max_gain = timing_knapsack(design, critical, forbidden, None, |m, p| McItem {
+        value: design.latency(p) as f64 - m.latency as f64,
+        weight: 0,
+    });
+    max_gain.solve(design).filter(|s| s.objective > 1e-9)
 }
 
-/// Builds the shared variable structure of the timing problems: one
-/// binary per (critical process, implementation), with exactly-one rows.
-fn timing_vars(design: &Design, crit: &[bool], problem: &mut Problem) -> Vec<Vec<Option<VarId>>> {
-    let sys = design.system();
-    let mut vars: Vec<Vec<Option<VarId>>> = Vec::with_capacity(sys.process_count());
-    for p in sys.process_ids() {
-        if !crit[p.index()] {
-            vars.push(Vec::new());
-            continue;
-        }
-        let set = design.pareto(p);
-        let mut row = Vec::with_capacity(set.len());
-        for (i, _) in set.points().iter().enumerate() {
-            let v = problem.add_binary(format!("x_{}_{}", p.index(), i));
-            row.push(Some(v));
-        }
-        problem.add_constraint(
-            format!("one_{}", p.index()),
-            row.iter()
-                .map(|&v| (v.expect("all modeled"), 1.0))
-                .collect(),
-            Sense::Eq,
-            1.0,
-        );
-        vars.push(row);
-    }
-    vars
-}
-
-/// Dual form: minimize area increase subject to covering the deficit.
-fn timing_dual_exact(
-    design: &Design,
-    critical: &[ProcessId],
-    deficit: i64,
-    forbidden: &[Vec<usize>],
-    solver: &mut ilp::Solver,
-) -> Result<Option<IpSelection>, ErmesError> {
-    let sys = design.system();
-    let crit = is_critical(design, critical);
-    let mut problem = Problem::new();
-    let vars = timing_vars(design, &crit, &mut problem);
-    let mut gain_terms: Vec<(VarId, f64)> = Vec::new();
-    for p in sys.process_ids() {
-        if vars[p.index()].is_empty() {
-            continue;
-        }
-        let set = design.pareto(p);
-        let current_latency = design.latency(p) as f64;
-        let current_area = design.process_area(p);
-        for (i, m) in set.points().iter().enumerate() {
-            let v = vars[p.index()][i].expect("all modeled");
-            // Maximize area gain == minimize area increase.
-            problem.set_objective_coeff(v, current_area - m.area);
-            gain_terms.push((v, current_latency - m.latency as f64));
-        }
-    }
-    problem.add_constraint("deficit", gain_terms, Sense::Ge, deficit as f64);
-    add_timing_cuts(&mut problem, design, &crit, &vars, forbidden);
-    match solver.solve(&problem) {
-        Ok(s) => {
-            let sel = extract_selection(design, &vars, &s);
-            if sel.selection == design.selection() {
-                Ok(None)
-            } else {
-                Ok(Some(sel))
-            }
-        }
-        Err(ilp::SolveError::Infeasible) => Ok(None),
-        Err(e) => Err(e.into()),
-    }
-}
-
-/// Fallback form: maximize the cumulative latency gain.
-fn timing_max_gain_exact(
+/// The timing knapsacks: one group per critical process (in process
+/// order) over all of its implementations, priced by `item`. Non-critical
+/// selections are fixed, so only the visited configurations that agree
+/// with the current one outside the critical processes need a cut.
+fn timing_knapsack(
     design: &Design,
     critical: &[ProcessId],
     forbidden: &[Vec<usize>],
-    solver: &mut ilp::Solver,
-) -> Result<Option<IpSelection>, ErmesError> {
-    let sys = design.system();
+    capacity: Option<i64>,
+    item: impl Fn(&hlsim::MicroArch, ProcessId) -> McItem,
+) -> Knapsack {
     let crit = is_critical(design, critical);
-    let mut problem = Problem::new();
-    let vars = timing_vars(design, &crit, &mut problem);
-    for p in sys.process_ids() {
-        if vars[p.index()].is_empty() {
-            continue;
-        }
-        let set = design.pareto(p);
-        let current_latency = design.latency(p) as f64;
-        for (i, m) in set.points().iter().enumerate() {
-            let v = vars[p.index()][i].expect("all modeled");
-            problem.set_objective_coeff(v, current_latency - m.latency as f64);
-        }
-    }
-    add_timing_cuts(&mut problem, design, &crit, &vars, forbidden);
-    let solution = match solver.solve(&problem) {
-        Ok(s) => s,
-        Err(ilp::SolveError::Infeasible) => return Ok(None),
-        Err(e) => return Err(e.into()),
-    };
-    if solution.objective <= 1e-9 {
-        return Ok(None);
-    }
-    Ok(Some(extract_selection(design, &vars, &solution)))
-}
-
-/// No-good cuts over the critical-process variables: exclude forbidden
-/// configurations that agree with the current one outside the free
-/// (critical) processes.
-fn add_timing_cuts(
-    problem: &mut Problem,
-    design: &Design,
-    crit: &[bool],
-    vars: &[Vec<Option<VarId>>],
-    forbidden: &[Vec<usize>],
-) {
-    let relevant: Vec<&Vec<usize>> = forbidden
+    let processes: Vec<usize> = (0..crit.len()).filter(|&i| crit[i]).collect();
+    let groups = processes
+        .iter()
+        .map(|&i| {
+            let p = ProcessId::from_index(i);
+            design
+                .pareto(p)
+                .points()
+                .iter()
+                .map(|m| item(m, p))
+                .collect()
+        })
+        .collect();
+    let points = processes
+        .iter()
+        .map(|&i| (0..design.pareto(ProcessId::from_index(i)).len()).collect())
+        .collect();
+    let forbidden = forbidden
         .iter()
         .filter(|f| {
             f.iter()
                 .enumerate()
                 .all(|(i, &s)| crit[i] || s == design.selection()[i])
         })
+        .filter_map(|f| processes.iter().map(|&i| f.get(i).copied()).collect())
+        .filter(|f: &Vec<usize>| !f.is_empty())
         .collect();
-    for f in relevant {
-        let terms: Vec<(VarId, f64)> = f
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| crit[*i])
-            .map(|(i, &s)| (vars[i][s].expect("all modeled"), 1.0))
-            .collect();
-        if !terms.is_empty() {
-            let bound = terms.len() as f64 - 1.0;
-            problem.add_constraint("no_good", terms, Sense::Le, bound);
-        }
+    Knapsack {
+        processes,
+        groups,
+        points,
+        capacity,
+        forbidden,
     }
 }
 
@@ -578,55 +440,6 @@ fn timing_optimization_greedy(
     })
 }
 
-fn add_no_good_cuts(problem: &mut Problem, vars: &[Vec<Option<VarId>>], forbidden: &[Vec<usize>]) {
-    for f in forbidden {
-        // A forbidden configuration that selects an excluded (un-modeled)
-        // implementation cannot be produced by this problem: skip it.
-        let mut terms: Vec<(VarId, f64)> = Vec::new();
-        let mut expressible = true;
-        for (i, &s) in f.iter().enumerate() {
-            if vars[i].is_empty() {
-                continue;
-            }
-            match vars[i].get(s).copied().flatten() {
-                Some(v) => terms.push((v, 1.0)),
-                None => {
-                    expressible = false;
-                    break;
-                }
-            }
-        }
-        if expressible && !terms.is_empty() {
-            let bound = terms.len() as f64 - 1.0;
-            problem.add_constraint("no_good", terms, Sense::Le, bound);
-        }
-    }
-}
-
-fn extract_selection(
-    design: &Design,
-    vars: &[Vec<Option<VarId>>],
-    solution: &ilp::Solution,
-) -> IpSelection {
-    let selection: Vec<usize> = vars
-        .iter()
-        .enumerate()
-        .map(|(p, row)| {
-            if row.is_empty() {
-                design.selection()[p]
-            } else {
-                row.iter()
-                    .position(|&v| v.is_some_and(|v| solution.is_one(v)))
-                    .expect("exactly one implementation is selected")
-            }
-        })
-        .collect();
-    IpSelection {
-        selection,
-        objective: solution.objective,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -672,9 +485,7 @@ mod tests {
         // Slack 4: can afford a -> (9, 2.0) [cost 4] or b -> (12, 2.5)
         // [cost 4], not both. Best single move: b gains 1.5, a gains 1.0.
         let crit = all_processes(&d);
-        let sel = area_recovery(&d, &crit, 4, &[], None, OptStrategy::Exact)
-            .expect("solver ok")
-            .expect("gain exists");
+        let sel = area_recovery(&d, &crit, 4, &[], None, OptStrategy::Exact).expect("gain exists");
         assert!((sel.objective - 1.5).abs() < 1e-6, "got {}", sel.objective);
         assert_eq!(sel.selection, vec![0, 1]);
     }
@@ -683,9 +494,8 @@ mod tests {
     fn area_recovery_with_large_slack_takes_everything() {
         let d = design();
         let crit = all_processes(&d);
-        let sel = area_recovery(&d, &crit, 100, &[], None, OptStrategy::Exact)
-            .expect("solver ok")
-            .expect("gain exists");
+        let sel =
+            area_recovery(&d, &crit, 100, &[], None, OptStrategy::Exact).expect("gain exists");
         assert_eq!(sel.selection, vec![2, 1]);
         assert!((sel.objective - 3.5).abs() < 1e-6);
     }
@@ -696,7 +506,7 @@ mod tests {
         d.select_smallest();
         let crit = all_processes(&d);
         assert_eq!(
-            area_recovery(&d, &crit, 100, &[], None, OptStrategy::Exact).expect("solver ok"),
+            area_recovery(&d, &crit, 100, &[], None, OptStrategy::Exact),
             None
         );
     }
@@ -705,9 +515,7 @@ mod tests {
     fn no_good_cut_excludes_best() {
         let d = design();
         let crit = all_processes(&d);
-        let best = area_recovery(&d, &crit, 100, &[], None, OptStrategy::Exact)
-            .expect("ok")
-            .expect("gain");
+        let best = area_recovery(&d, &crit, 100, &[], None, OptStrategy::Exact).expect("gain");
         let second = area_recovery(
             &d,
             &crit,
@@ -716,7 +524,6 @@ mod tests {
             None,
             OptStrategy::Exact,
         )
-        .expect("ok")
         .expect("still gains");
         assert_ne!(second.selection, best.selection);
         assert!(second.objective < best.objective + 1e-9);
@@ -727,9 +534,7 @@ mod tests {
         let mut d = design();
         d.select_smallest();
         let crit = all_processes(&d);
-        let sel = timing_optimization(&d, &crit, 0, &[], OptStrategy::Exact)
-            .expect("ok")
-            .expect("gain exists");
+        let sel = timing_optimization(&d, &crit, 0, &[], OptStrategy::Exact).expect("gain exists");
         assert_eq!(sel.selection, vec![0, 0]);
         // Gains: (15-5) + (12-8) = 14.
         assert!((sel.objective - 14.0).abs() < 1e-6);
@@ -740,9 +545,8 @@ mod tests {
         let mut d = design();
         d.select_smallest();
         let only_b = vec![ProcessId::from_index(1)];
-        let sel = timing_optimization(&d, &only_b, 0, &[], OptStrategy::Exact)
-            .expect("ok")
-            .expect("gain exists");
+        let sel =
+            timing_optimization(&d, &only_b, 0, &[], OptStrategy::Exact).expect("gain exists");
         assert_eq!(sel.selection[0], 2, "non-critical process untouched");
         assert_eq!(sel.selection[1], 0);
     }
@@ -753,7 +557,7 @@ mod tests {
         d.select_fastest();
         let crit = all_processes(&d);
         assert_eq!(
-            timing_optimization(&d, &crit, 0, &[], OptStrategy::Exact).expect("ok"),
+            timing_optimization(&d, &crit, 0, &[], OptStrategy::Exact),
             None
         );
     }
@@ -763,9 +567,8 @@ mod tests {
         let d = design();
         let crit = all_processes(&d);
         for slack in [0i64, 4, 7, 100] {
-            let exact = area_recovery(&d, &crit, slack, &[], None, OptStrategy::Exact).expect("ok");
-            let greedy =
-                area_recovery(&d, &crit, slack, &[], None, OptStrategy::Greedy).expect("ok");
+            let exact = area_recovery(&d, &crit, slack, &[], None, OptStrategy::Exact);
+            let greedy = area_recovery(&d, &crit, slack, &[], None, OptStrategy::Greedy);
             match (exact, greedy) {
                 (None, None) => {}
                 (Some(e), Some(g)) => {
@@ -781,91 +584,94 @@ mod tests {
     fn auto_uses_exact_for_small_problems() {
         let d = design();
         let crit = all_processes(&d);
-        let auto = area_recovery(&d, &crit, 4, &[], None, OptStrategy::Auto).expect("ok");
-        let exact = area_recovery(&d, &crit, 4, &[], None, OptStrategy::Exact).expect("ok");
+        let auto = area_recovery(&d, &crit, 4, &[], None, OptStrategy::Auto);
+        let exact = area_recovery(&d, &crit, 4, &[], None, OptStrategy::Exact);
         assert_eq!(auto, exact);
+    }
+
+    /// The engine's answer to `k` must be the oracle's — the oracle
+    /// solves the equivalent 0/1 ILP by simplex branch & bound — with the
+    /// same objective bits and the same selection, except at an exact
+    /// tie, where the engine's written tie-break picks the
+    /// lexicographically smaller selection.
+    fn assert_matches_oracle(k: &Knapsack) -> Option<ilp::McSelection> {
+        let engine = solve_multiple_choice_knapsack(&k.groups, k.capacity, &k.forbidden);
+        let oracle = ilp::seed::solve_multiple_choice(&k.groups, k.capacity, &k.forbidden)
+            .expect("oracle solves");
+        match (&engine, &oracle) {
+            (None, None) => {}
+            (Some(e), Some(o)) => {
+                assert_eq!(e.value.to_bits(), o.value.to_bits(), "{k:?}");
+                assert!(e.choices <= o.choices, "{k:?}: {e:?} vs {o:?}");
+            }
+            _ => panic!("feasibility differs on {k:?}: {engine:?} vs {oracle:?}"),
+        }
+        engine
+    }
+
+    /// Walks a no-good cut chain the way the exploration loop does —
+    /// forbid each answer and solve again — checking every step against
+    /// the oracle.
+    fn check_chain(design: &Design, mut knapsack: impl FnMut(&[Vec<usize>]) -> Knapsack) {
+        let mut visited = vec![design.selection().to_vec()];
+        for _ in 0..8 {
+            let k = knapsack(&visited);
+            if assert_matches_oracle(&k).is_none() {
+                return;
+            }
+            let Some(sel) = k.solve(design) else { return };
+            visited.push(sel.selection);
+        }
     }
 
     #[test]
     fn exact_seed_is_bit_identical_to_exact() {
-        let d = design();
-        let crit = all_processes(&d);
-        for slack in [0i64, 4, 7, 100] {
-            let new = area_recovery(&d, &crit, slack, &[], None, OptStrategy::Exact).expect("ok");
-            let old =
-                area_recovery(&d, &crit, slack, &[], None, OptStrategy::ExactSeed).expect("ok");
-            match (new, old) {
-                (None, None) => {}
-                (Some(a), Some(b)) => {
-                    assert_eq!(a.selection, b.selection, "slack {slack}");
-                    assert_eq!(
-                        a.objective.to_bits(),
-                        b.objective.to_bits(),
-                        "slack {slack}"
-                    );
-                }
-                (a, b) => panic!("engine divergence at slack {slack}: {a:?} vs {b:?}"),
+        let crit = all_processes(&design());
+        let caps = latency_caps(&design(), None);
+        for start in 0..3 {
+            let mut d = design();
+            match start {
+                0 => {}
+                1 => d.select_smallest(),
+                _ => d.select_fastest(),
             }
+            for slack in [0i64, 4, 7, 100] {
+                check_chain(&d, |visited| {
+                    area_knapsack(&d, &crit, slack, visited, &caps)
+                });
+            }
+            for deficit in [1i64, 3, 6, 40] {
+                check_chain(&d, |visited| {
+                    timing_knapsack(&d, &crit, visited, Some(-deficit), |m, p| McItem {
+                        value: d.process_area(p) - m.area,
+                        weight: latency_delta(m.latency, d.latency(p)),
+                    })
+                });
+            }
+            check_chain(&d, |visited| {
+                timing_knapsack(&d, &crit, visited, None, |m, p| McItem {
+                    value: d.latency(p) as f64 - m.latency as f64,
+                    weight: 0,
+                })
+            });
         }
     }
 
-    /// The exploration loop's usage pattern: one context across a chain
-    /// of problems that grow by one no-good cut each step. Warm-started
-    /// results must be bit-identical to one-shot (cold) solves.
     #[test]
-    fn warm_context_matches_cold_calls_across_cut_chain() {
+    fn cut_chains_exhaust_the_configurations() {
+        // Each answer is forbidden in turn: the chain visits distinct
+        // selections, never improving, until area recovery proposes none.
         let d = design();
         let crit = all_processes(&d);
-        let mut ctx = OptContext::new(OptStrategy::Exact);
         let mut forbidden: Vec<Vec<usize>> = Vec::new();
-        loop {
-            let warm = area_recovery_with(
-                &d,
-                &crit,
-                100,
-                &forbidden,
-                None,
-                OptStrategy::Exact,
-                &mut ctx,
-            )
-            .expect("ok");
-            let cold =
-                area_recovery(&d, &crit, 100, &forbidden, None, OptStrategy::Exact).expect("ok");
-            match (warm, cold) {
-                (None, None) => break,
-                (Some(a), Some(b)) => {
-                    assert_eq!(a.selection, b.selection);
-                    assert_eq!(a.objective.to_bits(), b.objective.to_bits());
-                    forbidden.push(a.selection);
-                }
-                (a, b) => panic!("warm/cold divergence: {a:?} vs {b:?}"),
-            }
+        let mut last = f64::INFINITY;
+        while let Some(sel) = area_recovery(&d, &crit, 100, &forbidden, None, OptStrategy::Exact) {
+            assert!(!forbidden.contains(&sel.selection));
+            assert!(sel.objective <= last);
+            last = sel.objective;
+            forbidden.push(sel.selection);
         }
-        assert!(!forbidden.is_empty(), "chain exercised at least one cut");
-    }
-
-    #[test]
-    fn warm_context_timing_matches_cold() {
-        let mut d = design();
-        d.select_smallest();
-        let crit = all_processes(&d);
-        let mut ctx = OptContext::new(OptStrategy::Exact);
-        let mut forbidden: Vec<Vec<usize>> = Vec::new();
-        loop {
-            let warm =
-                timing_optimization_with(&d, &crit, 3, &forbidden, OptStrategy::Exact, &mut ctx)
-                    .expect("ok");
-            let cold =
-                timing_optimization(&d, &crit, 3, &forbidden, OptStrategy::Exact).expect("ok");
-            match (warm, cold) {
-                (None, None) => break,
-                (Some(a), Some(b)) => {
-                    assert_eq!(a.selection, b.selection);
-                    assert_eq!(a.objective.to_bits(), b.objective.to_bits());
-                    forbidden.push(a.selection);
-                }
-                (a, b) => panic!("warm/cold divergence: {a:?} vs {b:?}"),
-            }
-        }
+        // Six configurations, five with a positive gain.
+        assert_eq!(forbidden.len(), 5);
     }
 }

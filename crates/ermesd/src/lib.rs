@@ -73,7 +73,7 @@
 //! | `POST /analyze` | spec JSON | `ermes analyze` stdout |
 //! | `POST /order` | spec JSON | `ermes order` stdout (report + ordered spec) |
 //! | `POST /explore?target=N[&jobs=J]` | spec JSON | `ermes explore` stdout (sans cache-stats line) + explored spec |
-//! | `POST /sweep?targets=a,b,c[&jobs=J]` | spec JSON | `ermes sweep` stdout (sans cache-stats line) |
+//! | `POST /sweep?targets=a,b,c[&jobs=J]` | spec JSON | `ermes sweep` stdout (sans cache-stats line); at most [`server::MAX_SWEEP_TARGETS`] targets |
 //! | `POST /verify` | spec JSON | `ermes verify` stdout (deadlock certificate or counterexample) |
 //! | `POST /shard/sweeppoint?target=N` | spec JSON | one sweep point in exact-value wire form (cluster-internal) |
 //! | `POST /session` | spec JSON | full analysis + `x-ermes-session: {id}` header |

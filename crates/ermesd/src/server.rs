@@ -70,6 +70,11 @@ use std::time::{Duration, Instant};
 /// innermost polling loop.
 const DISCONNECT_POLL_INTERVAL: Duration = Duration::from_millis(100);
 
+/// Most targets one `/sweep` may name; more are answered `400`. A
+/// coordinator fans a sweep out with one thread per target, so this also
+/// bounds the threads a single request can start.
+pub const MAX_SWEEP_TARGETS: usize = 64;
+
 /// Configuration of a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -826,13 +831,8 @@ fn metrics(cx: &Ctx) -> Handled {
         ),
         (
             "ermes_ilp_nodes_total",
-            "Branch & bound nodes explored by the selection-ILP solver.",
+            "Branch & bound nodes explored by the selection engine.",
             ilp.nodes,
-        ),
-        (
-            "ermes_ilp_warmstart_hits_total",
-            "Node LPs satisfied by simplex basis reuse instead of a cold solve.",
-            ilp.warmstart_hits,
         ),
         (
             "ermes_session_opened_total",
@@ -1297,7 +1297,9 @@ impl AnalysisParams {
         endpoint: &str,
         default_deadline_ms: u64,
     ) -> Result<AnalysisParams, String> {
-        let jobs = parx::parse_jobs("jobs", req.query_param("jobs"), 1)?;
+        // Clamped to the host's threads: the bytes do not depend on
+        // `jobs`, and a request must not start more threads than exist.
+        let jobs = parx::parse_jobs("jobs", req.query_param("jobs"), 1)?.min(parx::max_jobs());
         let target = match endpoint {
             "explore" => req
                 .query_param("target")
@@ -1316,6 +1318,12 @@ impl AnalysisParams {
                 .map_err(|_| "targets must be comma-separated non-negative integers".to_string())?,
             _ => Vec::new(),
         };
+        if targets.len() > MAX_SWEEP_TARGETS {
+            return Err(format!(
+                "a sweep takes at most {MAX_SWEEP_TARGETS} targets, got {}",
+                targets.len()
+            ));
+        }
         let deadline = request_deadline(req, default_deadline_ms)?;
         Ok(AnalysisParams {
             target,
@@ -1919,5 +1927,35 @@ mod tests {
         assert!(AnalysisParams::from_request(&req, "explore", 0).is_err());
         req.query = vec![("target".into(), "10".into())];
         assert!(AnalysisParams::from_request(&req, "explore", 0).is_ok());
+    }
+
+    #[test]
+    fn jobs_are_clamped_to_the_host_threads() {
+        let mut req = Request {
+            method: "POST".into(),
+            path: "/explore".into(),
+            query: Vec::new(),
+            headers: Vec::new(),
+            body: Vec::new(),
+        };
+        let jobs = |req: &Request| {
+            AnalysisParams::from_request(req, "explore", 0)
+                .map(|p| p.jobs)
+                .ok()
+        };
+        for (asked, granted) in [
+            ("1", 1),
+            ("0", 0),
+            ("100000", parx::max_jobs()),
+            ("18446744073709551615", parx::max_jobs()),
+        ] {
+            req.query = vec![
+                ("target".into(), "10".into()),
+                ("jobs".into(), asked.into()),
+            ];
+            assert_eq!(jobs(&req), Some(granted), "jobs={asked}");
+        }
+        req.query = vec![("target".into(), "10".into())];
+        assert_eq!(jobs(&req), Some(1), "default");
     }
 }

@@ -136,8 +136,7 @@ fn wait_for_metric_at_least(addr: SocketAddr, line_prefix: &str, want: u64) -> u
 /// A deliberately heavy request: a large synthetic SoC swept over a long
 /// target ladder, taking seconds — plenty of iterations for a
 /// cancellation to land in. Sized so the sweep comfortably outlasts the
-/// deadlines below even with the warm-started ILP engine (which made
-/// the previous 300-process spec finish in well under 300 ms).
+/// deadlines below (a 300-process spec finishes in well under 300 ms).
 fn heavy_spec() -> String {
     let soc = socgen::generate(socgen::SocGenConfig::sized(4_000, 6_000, 11));
     let design = ermes::Design::new(soc.system, soc.pareto).expect("well-formed");

@@ -1,84 +1,59 @@
-//! From-scratch 0/1 integer linear programming.
+//! From-scratch exact selection for the ERMES exploration loop.
 //!
 //! The DAC'14 ERMES methodology formulates its IP-selection steps — *area
 //! recovery* and *timing optimization* over the processes of the critical
-//! cycle (Section 5) — as small integer programs, solved in the original
-//! work with GLPK. This crate replaces GLPK with cooperating exact
-//! solvers, each validated against the others:
+//! cycle (Section 5) — as knapsack variants, solved in the original work
+//! with GLPK. Each is a multiple-choice knapsack: every process adopts
+//! exactly one Pareto point, the picks share one latency budget, and the
+//! configurations already visited are excluded. This crate provides:
 //!
-//! - [`Problem::solve`] / [`Solver`]: 0/1 branch & bound over a
-//!   **bounded-variable simplex** (binary bounds handled natively, no
-//!   `x <= 1` rows), with a best-first deterministic node queue,
-//!   reduced-cost fixing, an MCKP-aware presolve, and basis warm-starts
-//!   both between branch & bound nodes and — via [`Solver`] — between
-//!   the successive, nearly identical ILPs of the exploration loop;
-//! - [`solve_relaxation`]: the `[0,1]` LP relaxation on the same
-//!   simplex;
-//! - [`seed`]: the original two-phase-simplex solver, frozen as a
-//!   reference for differential tests, A/B benchmarks (`ilpbench`), and
-//!   as the last-resort fallback on iteration-limited LPs;
-//! - [`solve_multiple_choice_knapsack`]: a pseudo-polynomial DP for the
-//!   multiple-choice knapsack structure that both ERMES problems share
-//!   (each process adopts exactly one Pareto-optimal implementation).
-//!
-//! The branch & bound returns solutions **objective-bit-identical** to
-//! the seed engine: equal selections produce equal objective bits, and
-//! when an instance has several optima tied within the shared 1e-9
-//! pruning tolerance, each engine deterministically returns the first
-//! one its search order reaches — provably equal in value, possibly a
-//! different vertex (see `crate::branch_bound` docs for the argument
-//! and `ilpbench` for the A/B certification). Process-wide counters
-//! (nodes explored, warm-start hits, presolve eliminations) are
-//! exported via [`stats`] for ermesd `/metrics` and the CLI trace
-//! summary.
+//! - [`solve_multiple_choice_knapsack`]: the production engine, a
+//!   depth-first branch & bound under the MCKP LP bound with a written
+//!   tie rule (see its module docs);
+//! - [`seed`] and the [`Problem`] builder: the original general 0/1 ILP
+//!   solver (two-phase simplex under depth-first branch & bound), kept
+//!   frozen as the oracle the engine is tested against;
+//! - [`stats`]: process-wide solver counters for ermesd `/metrics` and
+//!   the CLI trace summary.
 //!
 //! # Examples
 //!
-//! A one-implementation-per-process selection under a latency budget:
+//! A one-implementation-per-process selection under a latency budget,
+//! solved by the engine and cross-checked against the oracle:
 //!
 //! ```
-//! use ilp::{Problem, Sense};
+//! use ilp::{solve_multiple_choice_knapsack, McItem, Problem, Sense};
 //!
+//! // Process A: fast-but-big (no area recovered) or slow-but-small
+//! // (0.7 recovered for 4 cycles of slack); 5 cycles are available.
+//! let groups = vec![vec![
+//!     McItem { value: 0.0, weight: 0 },
+//!     McItem { value: 0.7, weight: 4 },
+//! ]];
+//! let best = solve_multiple_choice_knapsack(&groups, Some(5), &[]).expect("feasible");
+//! assert_eq!(best.choices, vec![1]);
+//!
+//! // The same problem as a general 0/1 ILP for the oracle.
 //! let mut p = Problem::new();
-//! // Process A: fast-but-big or slow-but-small.
 //! let a_fast = p.add_binary("a_fast");
 //! let a_small = p.add_binary("a_small");
-//! // Maximize recovered area.
-//! p.set_objective_coeff(a_fast, 0.0);
 //! p.set_objective_coeff(a_small, 0.7);
-//! // Exactly one implementation.
 //! p.add_constraint("one_a", vec![(a_fast, 1.0), (a_small, 1.0)], Sense::Eq, 1.0);
-//! // The slow implementation costs 4 cycles of slack; 5 are available.
 //! p.add_constraint("slack", vec![(a_small, 4.0)], Sense::Le, 5.0);
-//! let s = p.solve()?;
-//! assert!(s.is_one(a_small));
+//! let oracle = ilp::seed::solve(&p)?;
+//! assert!(oracle.is_one(a_small));
+//! assert_eq!(oracle.objective, best.value);
 //! # Ok::<(), ilp::SolveError>(())
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod basis;
-mod branch_bound;
 mod knapsack;
 mod model;
-mod presolve;
 pub mod seed;
-mod simplex;
 mod stats;
 
-pub use branch_bound::Solver;
-
-/// Runs the MCKP presolve alone and returns the number of variables it
-/// pinned. Exists for the `flatgraph` criterion suite, which needs to
-/// time the dominance pass at scales where the dense seed tableau of a
-/// full `solve()` would dwarf it; not part of the supported API.
-#[doc(hidden)]
-pub fn presolve_eliminated(problem: &Problem) -> usize {
-    presolve::presolve(problem).eliminated
-}
-
-pub use knapsack::{solve_multiple_choice_knapsack, KnapsackError, McItem, McSelection};
+pub use knapsack::{solve_multiple_choice_knapsack, McItem, McSelection};
 pub use model::{Constraint, Problem, Sense, Solution, SolveError, VarId};
-pub use simplex::{solve_relaxation, LpSolution};
 pub use stats::{stats, IlpStats};

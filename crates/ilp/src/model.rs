@@ -1,9 +1,11 @@
-//! Problem-builder API for 0/1 integer linear programs.
+//! Problem-builder API for general 0/1 integer linear programs.
 //!
-//! ERMES formulates its IP-selection steps (area recovery and timing
-//! optimization, Section 5 of the paper) as small 0/1 ILPs; the paper uses
-//! GLPK, this crate solves them from scratch. The builder collects binary
-//! variables, a linear objective (maximized), and linear constraints.
+//! The paper hands its IP-selection steps (area recovery and timing
+//! optimization, Section 5) to GLPK as 0/1 ILPs. Here that general form
+//! is the input of the [`crate::seed`] oracle: the tests restate each
+//! selection problem with this builder — binary variables, a linear
+//! objective (maximized) and linear constraints — and check the knapsack
+//! engine against the oracle's answer.
 
 use std::fmt;
 
@@ -85,7 +87,7 @@ impl Constraint {
 /// p.set_objective_coeff(a, 3.0);
 /// p.set_objective_coeff(b, 4.0);
 /// p.add_constraint("capacity", vec![(a, 2.0), (b, 3.0)], Sense::Le, 3.0);
-/// let solution = p.solve()?;
+/// let solution = ilp::seed::solve(&p)?;
 /// assert_eq!(solution.objective, 4.0); // take b only
 /// assert!(!solution.is_one(a) && solution.is_one(b));
 /// # Ok::<(), ilp::SolveError>(())
@@ -145,26 +147,6 @@ impl Problem {
         });
     }
 
-    /// Sets the coefficient of `var` in constraint `row` (insertion
-    /// order), adding the term if the constraint does not mention `var`.
-    ///
-    /// This is the single-coefficient perturbation an interactive edit
-    /// produces (one latency change touches one entry of the performance
-    /// constraint); [`Solver`](crate::Solver) warm-starts across it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of range or `var` was not created by this
-    /// problem.
-    pub fn set_constraint_coeff(&mut self, row: usize, var: VarId, coeff: f64) {
-        assert!(var.0 < self.var_names.len(), "unknown variable {var}");
-        let terms = &mut self.constraints[row].terms;
-        match terms.iter_mut().find(|(v, _)| *v == var) {
-            Some(term) => term.1 = coeff,
-            None => terms.push((var, coeff)),
-        }
-    }
-
     /// Number of variables.
     #[must_use]
     pub fn variable_count(&self) -> usize {
@@ -190,7 +172,7 @@ impl Problem {
     }
 }
 
-/// A feasible assignment returned by the solvers.
+/// A feasible assignment returned by [`crate::seed::solve`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Solution {
     /// Objective value achieved.
@@ -219,7 +201,7 @@ impl Solution {
     }
 }
 
-/// Errors returned by the solvers.
+/// Errors returned by the [`crate::seed`] solver.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SolveError {

@@ -1,29 +1,34 @@
-//! The original ("seed") solver, kept as a reference implementation.
+//! The original ("seed") solver, kept as the test oracle.
 //!
 //! This module preserves the first solver this crate shipped: a dense
 //! two-phase primal simplex over a standard-form tableau (binary bounds
 //! materialized as explicit `x <= 1` rows) driving a depth-first branch &
-//! bound. It has two jobs today:
-//!
-//! 1. **Differential testing** — the production bounded-variable solver
-//!    (see [`crate::simplex`] and [`crate::branch_bound`]) is checked
-//!    against this one on randomized instances and on the full MPEG-2
-//!    benchmark ladder (`ilpbench`), where selected solutions must be
-//!    bit-identical.
-//! 2. **Last-resort fallback** — if the bounded-variable simplex hits its
-//!    iteration cap on a pathological LP, the branch & bound re-solves
-//!    that one node with [`solve_relaxation_fixed`], whose Bland-rule
-//!    fallback has the textbook anti-cycling guarantee.
+//! bound over general 0/1 problems built with [`Problem`]. Production
+//! code never calls it: the differential tests pose each selection
+//! problem both to [`crate::solve_multiple_choice_knapsack`] and, as the
+//! equivalent [`Problem`], to [`solve`], and require the same objective
+//! bits and the same selection, up to exact ties that the engine's
+//! written tie-break resolves.
 //!
 //! The algorithms and tolerances here are intentionally frozen; do not
-//! "improve" this module — speed work belongs in the bounded solver.
+//! "improve" this module — it is the reference the engine is held to.
 
-use crate::model::{Problem, Sense, Solution, SolveError};
-use crate::simplex::LpSolution;
+use crate::knapsack::{McItem, McSelection};
+use crate::model::{Problem, Sense, Solution, SolveError, VarId};
 use crate::stats;
 
 const EPS: f64 = 1e-9;
 const INT_TOL: f64 = 1e-6;
+
+/// Result of solving the LP relaxation of a [`Problem`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct LpSolution {
+    /// Optimal objective value of the relaxation (an upper bound for the
+    /// integer problem).
+    pub objective: f64,
+    /// Variable values in `[0, 1]`.
+    pub values: Vec<f64>,
+}
 
 /// Extra `x <= 1` bound rows plus the user constraints, in tableau form.
 struct Standardized {
@@ -72,7 +77,7 @@ fn standardize(problem: &Problem, fixed: &[Option<bool>]) -> Standardized {
 ///
 /// [`SolveError::Infeasible`], [`SolveError::Unbounded`] or
 /// [`SolveError::IterationLimit`].
-pub(crate) fn solve_relaxation_fixed(
+fn solve_relaxation_fixed(
     problem: &Problem,
     fixed: &[Option<bool>],
 ) -> Result<LpSolution, SolveError> {
@@ -352,7 +357,7 @@ pub fn solve(problem: &Problem) -> Result<Solution, SolveError> {
             }
         }
         // Most fractional variable; ties resolve to the lowest index
-        // because the comparison is strict (see branch_bound::branch_variable).
+        // because the comparison is strict.
         let mut branch_var = None;
         let mut most_fractional = INT_TOL;
         for (j, &v) in lp.values.iter().enumerate() {
@@ -400,6 +405,91 @@ pub fn solve(problem: &Problem) -> Result<Solution, SolveError> {
     trace::attr("bb_nodes", explored);
     stats::record_nodes(explored);
     best.ok_or(SolveError::Infeasible)
+}
+
+/// A multiple-choice knapsack, as taken by
+/// [`crate::solve_multiple_choice_knapsack`], restated as a 0/1 ILP: one
+/// binary per item in group order, an exactly-one row per group, the
+/// capacity row when there is one, and a no-good row `Σ x <= groups − 1`
+/// per forbidden choice vector.
+#[must_use]
+pub fn multiple_choice_problem(
+    groups: &[Vec<McItem>],
+    capacity: Option<i64>,
+    forbidden: &[Vec<usize>],
+) -> Problem {
+    let mut problem = Problem::new();
+    let mut vars: Vec<Vec<VarId>> = Vec::with_capacity(groups.len());
+    for (g, items) in groups.iter().enumerate() {
+        let row: Vec<VarId> = items
+            .iter()
+            .enumerate()
+            .map(|(i, item)| {
+                let v = problem.add_binary(format!("x{g}_{i}"));
+                problem.set_objective_coeff(v, item.value);
+                v
+            })
+            .collect();
+        let ones = row.iter().map(|&v| (v, 1.0)).collect();
+        problem.add_constraint(format!("one{g}"), ones, Sense::Eq, 1.0);
+        vars.push(row);
+    }
+    if let Some(capacity) = capacity {
+        let terms = groups
+            .iter()
+            .zip(&vars)
+            .flat_map(|(items, row)| items.iter().zip(row))
+            .map(|(item, &v)| (v, item.weight as f64))
+            .collect();
+        problem.add_constraint("capacity", terms, Sense::Le, capacity as f64);
+    }
+    for f in forbidden.iter().filter(|f| f.len() == groups.len()) {
+        let terms: Option<Vec<(VarId, f64)>> = f
+            .iter()
+            .zip(&vars)
+            .map(|(&c, row)| row.get(c).map(|&v| (v, 1.0)))
+            .collect();
+        if let Some(terms) = terms.filter(|t| !t.is_empty()) {
+            let bound = terms.len() as f64 - 1.0;
+            problem.add_constraint("no_good", terms, Sense::Le, bound);
+        }
+    }
+    problem
+}
+
+/// The oracle's answer to a multiple-choice knapsack:
+/// [`multiple_choice_problem`] solved by [`solve`] and read back as one
+/// item index per group. `Ok(None)` when infeasible.
+///
+/// # Errors
+///
+/// [`SolveError::Unbounded`]/[`SolveError::IterationLimit`] propagate
+/// simplex failures.
+pub fn solve_multiple_choice(
+    groups: &[Vec<McItem>],
+    capacity: Option<i64>,
+    forbidden: &[Vec<usize>],
+) -> Result<Option<McSelection>, SolveError> {
+    let solution = match solve(&multiple_choice_problem(groups, capacity, forbidden)) {
+        Ok(s) => s,
+        Err(SolveError::Infeasible) => return Ok(None),
+        Err(e) => return Err(e),
+    };
+    let mut offset = 0;
+    let choices = groups
+        .iter()
+        .map(|items| {
+            let row = &solution.values[offset..offset + items.len()];
+            offset += items.len();
+            row.iter()
+                .position(|&v| v > 0.5)
+                .expect("exactly one item per group")
+        })
+        .collect();
+    Ok(Some(McSelection {
+        choices,
+        value: solution.objective,
+    }))
 }
 
 #[cfg(test)]

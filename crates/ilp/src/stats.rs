@@ -1,10 +1,9 @@
 //! Process-wide solver counters.
 //!
-//! The ILP solver is the hot path of the whole exploration loop (warm
-//! sweeps spend essentially all their wall time here — EXPERIMENTS E13),
-//! so the solver keeps a handful of cheap atomic counters that ermesd
-//! exports on `/metrics` (`ermes_ilp_nodes_total`,
-//! `ermes_ilp_warmstart_hits_total`) and the CLI prints after
+//! The selection engine is the hot path of the exploration loop on
+//! designs small enough to solve exactly (EXPERIMENTS E13), so it keeps
+//! two cheap atomic counters that ermesd exports on `/metrics`
+//! (`ermes_ilp_nodes_total`) and the CLI prints after
 //! `--trace-summary`. Counters are cumulative for the process; callers
 //! that want per-run numbers snapshot [`stats`] before and after and
 //! subtract with [`IlpStats::delta_since`].
@@ -13,28 +12,25 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 static SOLVES: AtomicU64 = AtomicU64::new(0);
 static NODES: AtomicU64 = AtomicU64::new(0);
-static WARM_HITS: AtomicU64 = AtomicU64::new(0);
-static WARM_MISSES: AtomicU64 = AtomicU64::new(0);
-static PRESOLVE_FIXED: AtomicU64 = AtomicU64::new(0);
 
-/// A snapshot of the process-wide ILP solver counters.
+/// A snapshot of the process-wide solver counters.
+///
+/// The last three fields always read 0: the engine solves no LPs and runs
+/// no presolve. They stay so that existing readers of the snapshot keep
+/// compiling.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IlpStats {
-    /// Integer problems solved (branch & bound runs, any engine).
+    /// Selection problems solved, counting those proven infeasible before
+    /// any search.
     pub solves: u64,
-    /// Branch & bound nodes popped across all solves.
+    /// Depth-first search nodes entered across all solves, one root per
+    /// solve included.
     pub nodes: u64,
-    /// Node LPs satisfied by basis reuse: a child reoptimized from its
-    /// parent's optimal basis (in place or by reinstatement), or a root
-    /// accepted from a basis carried over from a previous, related
-    /// problem.
+    /// Always 0: the engine solves no LPs to warm-start.
     pub warmstart_hits: u64,
-    /// Node LPs that had to solve cold: the root of a cold solve, a
-    /// failed reinstatement (dimension mismatch, singular pivot), an
-    /// iteration-limited reoptimization, or a carried root basis
-    /// rejected by the determinism gate.
+    /// Always 0: the engine solves no LPs to warm-start.
     pub warmstart_misses: u64,
-    /// Variables fixed by the MCKP presolve before search started.
+    /// Always 0: the engine runs no presolve.
     pub presolve_fixed: u64,
 }
 
@@ -53,21 +49,6 @@ impl IlpStats {
             presolve_fixed: self.presolve_fixed.saturating_sub(earlier.presolve_fixed),
         }
     }
-
-    /// Warm-start hit rate over all node LPs, in `[0, 1]`; `0.0` when
-    /// none were solved.
-    #[must_use]
-    pub fn warmstart_rate(&self) -> f64 {
-        let attempts = self.warmstart_hits + self.warmstart_misses;
-        if attempts == 0 {
-            0.0
-        } else {
-            #[allow(clippy::cast_precision_loss)]
-            {
-                self.warmstart_hits as f64 / attempts as f64
-            }
-        }
-    }
 }
 
 /// Snapshots the process-wide solver counters.
@@ -76,9 +57,7 @@ pub fn stats() -> IlpStats {
     IlpStats {
         solves: SOLVES.load(Ordering::Relaxed),
         nodes: NODES.load(Ordering::Relaxed),
-        warmstart_hits: WARM_HITS.load(Ordering::Relaxed),
-        warmstart_misses: WARM_MISSES.load(Ordering::Relaxed),
-        presolve_fixed: PRESOLVE_FIXED.load(Ordering::Relaxed),
+        ..IlpStats::default()
     }
 }
 
@@ -90,21 +69,6 @@ pub(crate) fn record_nodes(nodes: u64) {
     NODES.fetch_add(nodes, Ordering::Relaxed);
 }
 
-pub(crate) fn record_warmstarts(hits: u64, misses: u64) {
-    if hits > 0 {
-        WARM_HITS.fetch_add(hits, Ordering::Relaxed);
-    }
-    if misses > 0 {
-        WARM_MISSES.fetch_add(misses, Ordering::Relaxed);
-    }
-}
-
-pub(crate) fn record_presolve_fixed(count: u64) {
-    if count > 0 {
-        PRESOLVE_FIXED.fetch_add(count, Ordering::Relaxed);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,24 +78,22 @@ mod tests {
         let earlier = IlpStats {
             solves: 2,
             nodes: 10,
-            warmstart_hits: 1,
-            warmstart_misses: 1,
-            presolve_fixed: 4,
+            ..IlpStats::default()
         };
         let later = IlpStats {
             solves: 5,
             nodes: 25,
-            warmstart_hits: 4,
-            warmstart_misses: 1,
-            presolve_fixed: 10,
+            ..IlpStats::default()
         };
         let d = later.delta_since(&earlier);
         assert_eq!(d.solves, 3);
         assert_eq!(d.nodes, 15);
-        assert_eq!(d.warmstart_hits, 3);
-        assert_eq!(d.warmstart_misses, 0);
-        assert_eq!(d.presolve_fixed, 6);
-        assert!((d.warmstart_rate() - 1.0).abs() < 1e-12);
-        assert_eq!(IlpStats::default().warmstart_rate(), 0.0);
+        assert_eq!(d.warmstart_hits, 0);
+        assert_eq!(d.presolve_fixed, 0);
+        let now = stats();
+        assert_eq!(
+            (now.warmstart_hits, now.warmstart_misses, now.presolve_fixed),
+            (0, 0, 0)
+        );
     }
 }

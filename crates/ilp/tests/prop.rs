@@ -1,169 +1,200 @@
-//! Property tests for the ILP stack: the three solvers must be mutually
-//! consistent on arbitrary instances.
+//! Differential property tests: the knapsack engine against the frozen
+//! seed ILP solver (the oracle) and, on tiny instances, brute force.
+//!
+//! The objective must be bit-identical to the oracle's. The selection
+//! must be identical too, except at an exact tie, where the engine's
+//! written tie-break (the lexicographically smallest selection of
+//! maximum value) may pick a different, equal-valued selection.
 
-use ilp::{solve_multiple_choice_knapsack, solve_relaxation, McItem, Problem, Sense, SolveError};
+use ilp::{seed, solve_multiple_choice_knapsack, McItem, McSelection};
 use proptest::prelude::*;
 
-/// Random multiple-choice-knapsack instances.
-fn arb_mckp() -> impl Strategy<Value = (Vec<Vec<McItem>>, i64)> {
+type Instance = (Vec<Vec<McItem>>, Option<i64>, usize);
+
+/// Random multiple-choice knapsacks with negative weights, about one in
+/// four without a capacity, and up to three binding cuts.
+fn arb_mckp() -> impl Strategy<Value = Instance> {
     (
         proptest::collection::vec(
-            proptest::collection::vec((-5.0f64..15.0, -4i64..9), 1..4),
-            1..5,
+            proptest::collection::vec((-5.0f64..15.0, -4i64..9), 1..5),
+            1..6,
         ),
         -3i64..20,
+        0u8..4,
+        0usize..4,
     )
-        .prop_map(|(groups, cap)| {
-            (
-                groups
-                    .into_iter()
-                    .map(|g| {
-                        g.into_iter()
-                            .map(|(value, weight)| McItem { value, weight })
-                            .collect()
-                    })
-                    .collect(),
-                cap,
-            )
+        .prop_map(|(groups, cap, uncapped, cuts)| {
+            let groups = groups
+                .into_iter()
+                .map(|g| {
+                    g.into_iter()
+                        .map(|(value, weight)| McItem { value, weight })
+                        .collect()
+                })
+                .collect();
+            (groups, (uncapped != 0).then_some(cap), cuts)
         })
 }
 
-/// Builds the equivalent 0/1 ILP of an MCKP instance.
-fn mckp_as_ilp(groups: &[Vec<McItem>], cap: i64) -> Problem {
-    let mut p = Problem::new();
-    let mut cap_terms = Vec::new();
-    for (g, items) in groups.iter().enumerate() {
-        let vars: Vec<_> = items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| {
-                let v = p.add_binary(format!("x{g}_{i}"));
-                p.set_objective_coeff(v, item.value);
-                cap_terms.push((v, item.weight as f64));
-                v
-            })
-            .collect();
-        p.add_constraint(
-            format!("one{g}"),
-            vars.iter().map(|&v| (v, 1.0)).collect(),
-            Sense::Eq,
-            1.0,
-        );
+/// Tiny instances with coarse values, where exact ties are common.
+fn arb_tiny_ties() -> impl Strategy<Value = Instance> {
+    (
+        proptest::collection::vec(proptest::collection::vec((0u8..9, -4i64..9), 1..4), 1..4),
+        -3i64..20,
+        0u8..4,
+        0usize..3,
+    )
+        .prop_map(|(groups, cap, uncapped, cuts)| {
+            let groups = groups
+                .into_iter()
+                .map(|g| {
+                    g.into_iter()
+                        .map(|(v, weight)| McItem {
+                            value: f64::from(v) * 0.25 - 0.5,
+                            weight,
+                        })
+                        .collect()
+                })
+                .collect();
+            (groups, (uncapped != 0).then_some(cap), cuts)
+        })
+}
+
+/// Cuts that bind: each forbids the engine's previous answer, the way
+/// the exploration loop forbids every configuration it visits.
+fn binding_cuts(groups: &[Vec<McItem>], capacity: Option<i64>, cuts: usize) -> Vec<Vec<usize>> {
+    let mut forbidden = Vec::new();
+    for _ in 0..cuts {
+        match solve_multiple_choice_knapsack(groups, capacity, &forbidden) {
+            Some(best) => forbidden.push(best.choices),
+            None => break,
+        }
     }
-    p.add_constraint("cap", cap_terms, Sense::Le, cap as f64);
-    p
+    forbidden
+}
+
+/// The value of a selection, folded in group order as the engine does.
+fn value_of(groups: &[Vec<McItem>], choices: &[usize]) -> f64 {
+    choices
+        .iter()
+        .zip(groups)
+        .fold(0.0, |acc, (&c, g)| acc + g[c].value)
+}
+
+/// Brute force over every choice vector in lexicographic order, keeping
+/// the first maximum: the engine's written tie rule.
+fn brute(
+    groups: &[Vec<McItem>],
+    capacity: Option<i64>,
+    forbidden: &[Vec<usize>],
+) -> Option<McSelection> {
+    let mut best: Option<McSelection> = None;
+    let mut choices = vec![0usize; groups.len()];
+    loop {
+        let weight: i64 = choices.iter().zip(groups).map(|(&c, g)| g[c].weight).sum();
+        let value = value_of(groups, &choices);
+        if capacity.is_none_or(|cap| weight <= cap)
+            && !forbidden.contains(&choices)
+            && best.as_ref().is_none_or(|b| value > b.value)
+        {
+            best = Some(McSelection {
+                choices: choices.clone(),
+                value,
+            });
+        }
+        // Odometer step, last group fastest.
+        let mut g = groups.len();
+        loop {
+            if g == 0 {
+                return best;
+            }
+            g -= 1;
+            choices[g] += 1;
+            if choices[g] < groups[g].len() {
+                break;
+            }
+            choices[g] = 0;
+        }
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// The DP and branch & bound agree on every MCKP instance.
+    /// The engine agrees with the seed oracle on the equivalent 0/1 ILP:
+    /// same feasibility, same objective bits, and the same selection or
+    /// an equal-valued one that the tie-break ranks first.
     #[test]
-    fn dp_equals_branch_and_bound((groups, cap) in arb_mckp()) {
-        let dp = solve_multiple_choice_knapsack(&groups, cap);
-        let bb = mckp_as_ilp(&groups, cap).solve();
-        match (dp, bb) {
-            (Err(_), Err(SolveError::Infeasible)) => {}
-            (Ok(d), Ok(b)) => {
-                prop_assert!((d.value - b.objective).abs() < 1e-6,
-                    "dp {} vs bb {}", d.value, b.objective);
+    fn engine_matches_seed_oracle((groups, cap, cuts) in arb_mckp()) {
+        let forbidden = binding_cuts(&groups, cap, cuts);
+        let engine = solve_multiple_choice_knapsack(&groups, cap, &forbidden);
+        let oracle = seed::solve_multiple_choice(&groups, cap, &forbidden)
+            .expect("oracle solves");
+        match (engine, oracle) {
+            (None, None) => {}
+            (Some(e), Some(o)) => {
+                prop_assert_eq!(e.value.to_bits(), o.value.to_bits(),
+                    "engine {:?} vs oracle {:?}", e, o);
+                if e.choices != o.choices {
+                    prop_assert!(e.choices < o.choices, "engine {:?} vs oracle {:?}", e, o);
+                    prop_assert_eq!(value_of(&groups, &o.choices).to_bits(), e.value.to_bits());
+                }
             }
-            (d, b) => prop_assert!(false, "feasibility divergence: {d:?} vs {b:?}"),
+            (e, o) => prop_assert!(false, "feasibility divergence: engine {e:?} vs oracle {o:?}"),
         }
     }
 
-    /// The LP relaxation upper-bounds the integer optimum.
+    /// On tiny tie-heavy instances — too small for the near-tie cap to
+    /// bind — the engine returns exactly brute force's first maximum.
     #[test]
-    fn relaxation_bounds_integer_optimum((groups, cap) in arb_mckp()) {
-        let p = mckp_as_ilp(&groups, cap);
-        if let (Ok(lp), Ok(int)) = (solve_relaxation(&p), p.solve()) {
-            prop_assert!(lp.objective >= int.objective - 1e-6,
-                "relaxation {} below integer {}", lp.objective, int.objective);
+    fn tie_rule_matches_brute_force((groups, cap, cuts) in arb_tiny_ties()) {
+        let forbidden = binding_cuts(&groups, cap, cuts);
+        prop_assert_eq!(
+            solve_multiple_choice_knapsack(&groups, cap, &forbidden),
+            brute(&groups, cap, &forbidden)
+        );
+    }
+
+    /// The oracle's LP relaxation upper-bounds the engine's optimum.
+    #[test]
+    fn relaxation_bounds_integer_optimum((groups, cap, cuts) in arb_mckp()) {
+        let forbidden = binding_cuts(&groups, cap, cuts);
+        let p = seed::multiple_choice_problem(&groups, cap, &forbidden);
+        if let (Ok(lp), Some(int)) = (
+            seed::solve_relaxation(&p),
+            solve_multiple_choice_knapsack(&groups, cap, &forbidden),
+        ) {
+            prop_assert!(lp.objective >= int.value - 1e-6,
+                "relaxation {} below integer {}", lp.objective, int.value);
         }
     }
 
-    /// Relaxation values stay within the unit box.
+    /// The oracle's relaxation values stay within the unit box.
     #[test]
-    fn relaxation_respects_bounds((groups, cap) in arb_mckp()) {
-        let p = mckp_as_ilp(&groups, cap);
-        if let Ok(lp) = solve_relaxation(&p) {
+    fn relaxation_respects_bounds((groups, cap, cuts) in arb_mckp()) {
+        let forbidden = binding_cuts(&groups, cap, cuts);
+        let p = seed::multiple_choice_problem(&groups, cap, &forbidden);
+        if let Ok(lp) = seed::solve_relaxation(&p) {
             for &v in &lp.values {
                 prop_assert!((-1e-7..=1.0 + 1e-7).contains(&v), "value {v} out of box");
             }
         }
     }
 
-    /// The bounded-variable engine and the frozen seed engine agree on
-    /// objective value for every instance (the determinism suites
-    /// additionally check full bit-identity end to end).
+    /// The engine's selections pick one item per group, fit the
+    /// capacity, avoid every cut, and report their own folded value.
     #[test]
-    fn bounded_and_seed_engines_agree((groups, cap) in arb_mckp()) {
-        let p = mckp_as_ilp(&groups, cap);
-        match (p.solve(), ilp::seed::solve(&p)) {
-            (Err(SolveError::Infeasible), Err(SolveError::Infeasible)) => {}
-            (Ok(new), Ok(old)) => {
-                prop_assert!((new.objective - old.objective).abs() < 1e-9,
-                    "bounded {} vs seed {}", new.objective, old.objective);
+    fn integer_solutions_are_feasible((groups, cap, cuts) in arb_mckp()) {
+        let forbidden = binding_cuts(&groups, cap, cuts);
+        if let Some(s) = solve_multiple_choice_knapsack(&groups, cap, &forbidden) {
+            prop_assert_eq!(s.choices.len(), groups.len());
+            for (&c, g) in s.choices.iter().zip(&groups) {
+                prop_assert!(c < g.len());
             }
-            (new, old) => prop_assert!(false,
-                "feasibility divergence: bounded {new:?} vs seed {old:?}"),
-        }
-    }
-
-    /// Same for the plain LP relaxations.
-    #[test]
-    fn bounded_and_seed_relaxations_agree((groups, cap) in arb_mckp()) {
-        let p = mckp_as_ilp(&groups, cap);
-        match (solve_relaxation(&p), ilp::seed::solve_relaxation(&p)) {
-            (Err(SolveError::Infeasible), Err(SolveError::Infeasible)) => {}
-            (Ok(new), Ok(old)) => {
-                prop_assert!((new.objective - old.objective).abs() < 1e-6,
-                    "bounded {} vs seed {}", new.objective, old.objective);
-            }
-            (new, old) => prop_assert!(false,
-                "feasibility divergence: bounded {new:?} vs seed {old:?}"),
-        }
-    }
-
-    /// A warm-started solver re-solving the same problem lands on
-    /// bitwise the same answer as its first (cold) solve.
-    #[test]
-    fn warm_resolve_is_bitwise_idempotent((groups, cap) in arb_mckp()) {
-        let p = mckp_as_ilp(&groups, cap);
-        let mut solver = ilp::Solver::new();
-        if let Ok(first) = solver.solve(&p) {
-            let second = solver.solve(&p).expect("feasible stays feasible");
-            prop_assert_eq!(first.objective.to_bits(), second.objective.to_bits());
-            prop_assert_eq!(first.values, second.values);
-        }
-    }
-
-    /// Integer solutions satisfy every constraint exactly.
-    #[test]
-    fn integer_solutions_are_feasible((groups, cap) in arb_mckp()) {
-        let p = mckp_as_ilp(&groups, cap);
-        if let Ok(s) = p.solve() {
-            // One per group.
-            let mut offset = 0;
-            for items in &groups {
-                let chosen: usize = (0..items.len())
-                    .filter(|i| s.values[offset + i] > 0.5)
-                    .count();
-                prop_assert_eq!(chosen, 1);
-                offset += items.len();
-            }
-            // Capacity.
-            let mut weight = 0i64;
-            let mut offset = 0;
-            for items in &groups {
-                for (i, item) in items.iter().enumerate() {
-                    if s.values[offset + i] > 0.5 {
-                        weight += item.weight;
-                    }
-                }
-                offset += items.len();
-            }
-            prop_assert!(weight <= cap);
+            let weight: i64 = s.choices.iter().zip(&groups).map(|(&c, g)| g[c].weight).sum();
+            prop_assert!(cap.is_none_or(|cap| weight <= cap));
+            prop_assert!(!forbidden.contains(&s.choices));
+            prop_assert_eq!(s.value.to_bits(), value_of(&groups, &s.choices).to_bits());
         }
     }
 }
