@@ -83,7 +83,7 @@ fn build_workload() -> Vec<WorkItem> {
     let analyze_mpeg2 = ermesd::cmd_analyze(&mpeg2_spec).expect("mpeg2 analyzes");
     let analyze_soc = ermesd::cmd_analyze(&soc_spec).expect("socgen analyzes");
     let (explore_report, explore_json) =
-        ermesd::cmd_explore(&mpeg2_spec, EXPLORE_TARGET, 1).expect("mpeg2 explores");
+        ermesd::cmd_explore(&mpeg2_spec, EXPLORE_TARGET).expect("mpeg2 explores");
     let explore_expected = format!("{}{explore_json}\n", strip_cache_line(&explore_report));
     let sweep_targets: Vec<u64> = SWEEP_TARGETS
         .split(',')

@@ -14,7 +14,7 @@ USAGE:
     ermes order    <spec.json> [--out <file>]
     ermes refine   <spec.json> [--passes <n>] [--out <file>]
     ermes sweep    <spec.json> --targets <a,b,c> [--jobs <n>]
-    ermes explore  <spec.json> --target <cycles> [--jobs <n>] [--out <file>]
+    ermes explore  <spec.json> --target <cycles> [--out <file>]
     ermes buffers  <spec.json> --target <cycles> [--budget <slots>]
     ermes simulate <spec.json> [--iterations <n>] [--vcd <file>]
     ermes stalls   <spec.json> [--iterations <n>]
@@ -24,15 +24,15 @@ USAGE:
                    [--coordinator]  (then --workers lists host:port peers)
     ermes top      [host:port] [--slow <n>]
 
-`--jobs <n>` threads the exploration engine (0 = all hardware threads,
-default 1); results are bit-identical at any value. `serve` runs the
-analysis daemon (see the `ermesd` crate): POST /analyze, /order,
-/explore?target=N, /sweep?targets=a,b,c, /verify; GET /healthz,
-/metrics, /trace, /trace/slow. `top` summarizes a running daemon:
-per-phase time from /metrics (per node when the daemon is a cluster
-coordinator federating its workers) plus the flight recorder's
-retained slow/errored/degraded requests from /trace/slow. `verify`
-certifies the spec deadlock-free (exact steady-state period,
+`--jobs <n>` spreads the sweep's targets over worker threads (0 = all
+hardware threads, default 1); results are bit-identical at any value.
+`serve` runs the analysis daemon (see the `ermesd` crate): POST
+/analyze, /order, /explore?target=N, /sweep?targets=a,b,c, /verify;
+GET /healthz, /metrics, /trace, /trace/slow. `top` summarizes a
+running daemon: per-phase time from /metrics (per node when the daemon
+is a cluster coordinator federating its workers) plus the flight
+recorder's retained slow/errored/degraded requests from /trace/slow.
+`verify` certifies the spec deadlock-free (exact steady-state period,
 cross-checked against the spectral analysis) or refutes it with a
 concrete counterexample trace.
 
@@ -261,8 +261,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             let target: u64 = flag(&args, "--target")
                 .ok_or("explore requires --target <cycles>")?
                 .parse()?;
-            let jobs = parx::parse_jobs("--jobs", flag(&args, "--jobs").as_deref(), 1)?;
-            let (report, json) = cmd_explore(&spec, target, jobs)?;
+            let (report, json) = cmd_explore(&spec, target)?;
             print!("{report}");
             if let Some(out) = flag(&args, "--out") {
                 std::fs::write(out, json)?;

@@ -6,8 +6,8 @@
 //! optimization).
 
 use crate::design::Design;
-use sysgraph::{lower_to_tmg, ChannelId, ProcessId};
-use tmg::{Ratio, Verdict};
+use sysgraph::{lower_to_tmg, ChannelId, LoweredTmg, ProcessId};
+use tmg::{IncrementalAnalysis, Ratio, Verdict};
 
 /// Performance report of a design under its current ordering/selection.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,44 +97,25 @@ pub fn target_ratio(target_cycle_time: u64) -> Ratio {
 /// ```
 #[must_use]
 pub fn analyze_design(design: &Design) -> PerfReport {
-    analyze_design_with_jobs(design, 1)
+    analyze_report(design, None).expect("no cancel token, cannot be cancelled")
 }
 
-/// [`analyze_design`] with the per-SCC cycle-ratio solves spread over up
-/// to `jobs` worker threads (`0` = all hardware threads, `1` = serial).
-/// The report is bit-identical at any thread count (see
-/// [`tmg::analyze_with_jobs`]).
-#[must_use]
-pub fn analyze_design_with_jobs(design: &Design, jobs: usize) -> PerfReport {
-    analyze_design_inner(design, jobs, None).expect("no cancel token, cannot be cancelled")
-}
-
-/// [`analyze_design_with_jobs`], but cooperatively cancellable: the
-/// per-SCC Howard solves poll `cancel` between policy-improvement
-/// rounds (see [`tmg::analyze_with_cancel`]). On the `Ok` path the
-/// report is bit-identical to the uncancellable call.
-///
-/// # Errors
-///
-/// [`parx::Cancelled`] when the token fired before analysis finished.
-pub fn analyze_design_cancellable(
+/// [`analyze_design`] with the per-SCC Howard solves polling `cancel`
+/// between policy-improvement rounds; on the `Ok` path the report is
+/// bit-identical to the uncancellable call.
+pub(crate) fn analyze_report(
     design: &Design,
-    jobs: usize,
-    cancel: &parx::CancelToken,
-) -> Result<PerfReport, parx::Cancelled> {
-    analyze_design_inner(design, jobs, Some(cancel))
-}
-
-fn analyze_design_inner(
-    design: &Design,
-    jobs: usize,
     cancel: Option<&parx::CancelToken>,
 ) -> Result<PerfReport, parx::Cancelled> {
     let lowered = lower_to_tmg(design.system());
-    let verdict = match cancel {
-        Some(token) => tmg::analyze_with_cancel(lowered.tmg(), jobs, token)?,
-        None => tmg::analyze_with_jobs(lowered.tmg(), jobs),
-    };
+    let verdict = IncrementalAnalysis::new_with_cancel(lowered.tmg(), cancel)?.into_verdict();
+    Ok(report_from(&lowered, verdict))
+}
+
+/// Maps a verdict's critical cycle back to the processes and channels of
+/// the system `lowered` came from — the one critical-set mapping, shared
+/// by one-shot analyses and [`DeltaState`](crate::DeltaState) sessions.
+pub(crate) fn report_from(lowered: &LoweredTmg, verdict: Verdict) -> PerfReport {
     let (critical_processes, critical_channels) = match &verdict {
         Verdict::Live { critical, .. } => (
             lowered.processes_of(&critical.transitions),
@@ -142,11 +123,11 @@ fn analyze_design_inner(
         ),
         _ => (Vec::new(), Vec::new()),
     };
-    Ok(PerfReport {
+    PerfReport {
         verdict,
         critical_processes,
         critical_channels,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -241,9 +222,7 @@ mod tests {
         }
         let design = Design::new(sys, sets).expect("sizes match");
         let serial = analyze_design(&design);
-        for jobs in [2, 4, 0] {
-            assert_eq!(analyze_design_with_jobs(&design, jobs), serial);
-        }
+        assert_eq!(analyze_design(&design), serial);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! proportional to the hot set rather than to its uptime. Evictions are
 //! counted in [`CacheStats::evictions`].
 
-use crate::analysis::{analyze_design_cancellable, analyze_design_with_jobs, PerfReport};
+use crate::analysis::{analyze_report, PerfReport};
 use crate::design::Design;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -234,13 +234,12 @@ impl EngineCache {
         )
     }
 
-    /// [`crate::analyze_design`] through the cache. `jobs` is forwarded
-    /// to the per-SCC Howard solve on a miss. Public so that services
-    /// holding a cross-request cache can analyze through it; the result
-    /// is bit-identical to a direct [`crate::analyze_design_with_jobs`]
-    /// call (the cached computation is deterministic).
-    pub fn analyze(&self, design: &Design, jobs: usize) -> PerfReport {
-        self.analyze_inner(design, jobs, None)
+    /// [`crate::analyze_design`] through the cache. Public so that
+    /// services holding a cross-request cache can analyze through it; the
+    /// result is bit-identical to a direct [`crate::analyze_design`] call
+    /// (the cached computation is deterministic).
+    pub fn analyze(&self, design: &Design) -> PerfReport {
+        self.analyze_with(design, None)
             .expect("no cancel token, cannot be cancelled")
     }
 
@@ -257,16 +256,16 @@ impl EngineCache {
     pub fn analyze_cancellable(
         &self,
         design: &Design,
-        jobs: usize,
         cancel: &parx::CancelToken,
     ) -> Result<PerfReport, parx::Cancelled> {
-        self.analyze_inner(design, jobs, Some(cancel))
+        self.analyze_with(design, Some(cancel))
     }
 
-    fn analyze_inner(
+    /// [`EngineCache::analyze`], polling `cancel` on a miss when one is
+    /// given.
+    pub(crate) fn analyze_with(
         &self,
         design: &Design,
-        jobs: usize,
         cancel: Option<&parx::CancelToken>,
     ) -> Result<PerfReport, parx::Cancelled> {
         let _span = trace::span("cache");
@@ -279,10 +278,7 @@ impl EngineCache {
         }
         self.analysis_misses.fetch_add(1, Ordering::Relaxed);
         trace::attr("cache", "miss");
-        let report = match cancel {
-            Some(token) => analyze_design_cancellable(design, jobs, token)?,
-            None => analyze_design_with_jobs(design, jobs),
-        };
+        let report = analyze_report(design, cancel)?;
         // The report is complete here; one last poll keeps a cancelled
         // job from publishing an entry its requester will never read
         // (and lets chaos tests slow this window with a delay fault).
@@ -368,8 +364,8 @@ mod tests {
         let design = two_stage();
         let cache = EngineCache::new();
         let fresh = analyze_design(&design);
-        let first = cache.analyze(&design, 1);
-        let second = cache.analyze(&design, 1);
+        let first = cache.analyze(&design);
+        let second = cache.analyze(&design);
         assert_eq!(first, fresh);
         assert_eq!(second, fresh);
         let stats = cache.stats();
@@ -381,14 +377,14 @@ mod tests {
     fn distinct_selections_get_distinct_entries() {
         let mut design = two_stage();
         let cache = EngineCache::new();
-        let fast = cache.analyze(&design, 1);
+        let fast = cache.analyze(&design);
         design.select_smallest();
-        let slow = cache.analyze(&design, 1);
+        let slow = cache.analyze(&design);
         assert_ne!(fast.cycle_time(), slow.cycle_time());
         assert_eq!(cache.stats().analysis_misses, 2);
         // Re-querying either configuration hits.
         design.select_fastest();
-        assert_eq!(cache.analyze(&design, 1), fast);
+        assert_eq!(cache.analyze(&design), fast);
         assert_eq!(cache.stats().analysis_hits, 1);
     }
 
@@ -434,7 +430,7 @@ mod tests {
         let a = sysgraph::ProcessId::from_index(0);
         for idx in 0..3 {
             design.select(a, idx).expect("valid");
-            let _ = cache.analyze(&design, 1);
+            let _ = cache.analyze(&design);
         }
         // Capacity 2, three distinct configs: one eviction, table full.
         let stats = cache.stats();
@@ -443,10 +439,10 @@ mod tests {
         // Config 0 was the least recently used: re-querying it misses,
         // while config 2 (most recent) still hits.
         design.select(a, 2).expect("valid");
-        let _ = cache.analyze(&design, 1);
+        let _ = cache.analyze(&design);
         assert_eq!(cache.stats().analysis_hits, 1);
         design.select(a, 0).expect("valid");
-        let _ = cache.analyze(&design, 1);
+        let _ = cache.analyze(&design);
         let stats = cache.stats();
         assert_eq!(stats.analysis_misses, 4, "config 0 was evicted");
         assert_eq!(stats.evictions, 2);
@@ -460,13 +456,13 @@ mod tests {
         // Fill with configs 0 and 1, then touch 0 so 1 becomes the LRU.
         for idx in [0, 1, 0] {
             design.select(a, idx).expect("valid");
-            let _ = cache.analyze(&design, 1);
+            let _ = cache.analyze(&design);
         }
         // Config 2 evicts config 1, not the recently-touched config 0.
         design.select(a, 2).expect("valid");
-        let _ = cache.analyze(&design, 1);
+        let _ = cache.analyze(&design);
         design.select(a, 0).expect("valid");
-        let _ = cache.analyze(&design, 1);
+        let _ = cache.analyze(&design);
         let stats = cache.stats();
         assert_eq!(stats.analysis_hits, 2, "config 0 survived: {stats:?}");
         assert_eq!(stats.evictions, 1);
@@ -483,18 +479,18 @@ mod tests {
         let a = sysgraph::ProcessId::from_index(0);
         for idx in [0, 1] {
             design.select(a, idx).expect("valid");
-            let _ = cache.analyze(&design, 1);
+            let _ = cache.analyze(&design);
         }
         // Three rounds: hit config 0, then insert a fresh config. If the
         // hit did not refresh recency, round one would already evict 0.
         for idx in 2..5 {
             design.select(a, 0).expect("valid");
-            let _ = cache.analyze(&design, 1);
+            let _ = cache.analyze(&design);
             design.select(a, idx).expect("valid");
-            let _ = cache.analyze(&design, 1);
+            let _ = cache.analyze(&design);
         }
         design.select(a, 0).expect("valid");
-        let _ = cache.analyze(&design, 1);
+        let _ = cache.analyze(&design);
         let stats = cache.stats();
         assert_eq!(
             stats.analysis_hits, 4,
@@ -509,8 +505,8 @@ mod tests {
         let design = many_config_design(2);
         let cache = EngineCache::with_capacity(0);
         let fresh = analyze_design(&design);
-        assert_eq!(cache.analyze(&design, 1), fresh);
-        assert_eq!(cache.analyze(&design, 1), fresh);
+        assert_eq!(cache.analyze(&design), fresh);
+        assert_eq!(cache.analyze(&design), fresh);
         let stats = cache.stats();
         assert_eq!((stats.analysis_hits, stats.analysis_misses), (0, 2));
         assert_eq!(cache.entry_counts(), (0, 0));
@@ -525,7 +521,7 @@ mod tests {
         let a = sysgraph::ProcessId::from_index(0);
         for idx in 0..16 {
             design.select(a, idx).expect("valid");
-            let _ = cache.analyze(&design, 1);
+            let _ = cache.analyze(&design);
         }
         assert_eq!(cache.stats().evictions, 0);
         assert_eq!(cache.entry_counts().0, 16);
@@ -553,7 +549,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel(CancelReason::Disconnected);
         let err = cache
-            .analyze_cancellable(&design, 1, &token)
+            .analyze_cancellable(&design, &token)
             .expect_err("token already fired");
         assert_eq!(err.reason, CancelReason::Disconnected);
         assert_eq!(
@@ -565,11 +561,11 @@ mod tests {
         let live = CancelToken::new();
         let fresh = analyze_design(&design);
         assert_eq!(
-            cache.analyze_cancellable(&design, 1, &live).expect("live"),
+            cache.analyze_cancellable(&design, &live).expect("live"),
             fresh
         );
         assert_eq!(cache.entry_counts().0, 1);
-        assert_eq!(cache.analyze(&design, 1), fresh);
+        assert_eq!(cache.analyze(&design), fresh);
         assert_eq!(cache.stats().analysis_hits, 1);
     }
 
@@ -577,12 +573,12 @@ mod tests {
     fn reordering_changes_the_key() {
         let mut design = two_stage();
         let cache = EngineCache::new();
-        let _ = cache.analyze(&design, 1);
+        let _ = cache.analyze(&design);
         // Apply the algorithm's ordering; if it differs from the current
         // statement order the key must differ too (a fresh miss).
         let ordering = cache.order(&design);
         ordering.apply_to(design.system_mut()).expect("valid");
-        let _ = cache.analyze(&design, 1);
+        let _ = cache.analyze(&design);
         let stats = cache.stats();
         assert!(stats.analysis_misses >= 1);
         assert_eq!(

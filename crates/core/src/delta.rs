@@ -29,11 +29,11 @@
 //! [`refresh`](DeltaState::refresh) — or simply the next edit — finishes
 //! the catch-up work before any report is produced.
 
-use crate::analysis::PerfReport;
+use crate::analysis::{report_from, PerfReport};
 use crate::design::Design;
 use crate::error::ErmesError;
 use sysgraph::{lower_to_tmg, ChannelId, LoweredTmg, ProcessId};
-use tmg::{IncrementalAnalysis, Verdict};
+use tmg::IncrementalAnalysis;
 
 /// Analysis work owed after a cancelled edit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,9 +99,12 @@ impl DeltaState {
         cancel: Option<&parx::CancelToken>,
     ) -> Result<Self, ErmesError> {
         let lowered = lower_to_tmg(design.system());
-        let inc = IncrementalAnalysis::new_with_cancel(lowered.tmg(), cancel)
+        // The first solve is a rebuild from the empty graph, so a session
+        // traces its opening like every structural edit.
+        let mut inc = IncrementalAnalysis::default();
+        inc.rebuild(lowered.tmg(), cancel)
             .map_err(cancelled_to_error)?;
-        let report = report_from(&lowered, inc.verdict());
+        let report = report_from(&lowered, inc.verdict().clone());
         Ok(DeltaState {
             design,
             lowered,
@@ -171,7 +174,7 @@ impl DeltaState {
         match result {
             Ok(_) => {
                 self.pending = Pending::Clean;
-                self.report = report_from(&self.lowered, self.inc.verdict());
+                self.report = report_from(&self.lowered, self.inc.verdict().clone());
                 Ok(&self.report)
             }
             Err(c) => {
@@ -217,7 +220,7 @@ impl DeltaState {
         match self.inc.rebuild(self.lowered.tmg(), cancel) {
             Ok(_) => {
                 self.pending = Pending::Clean;
-                self.report = report_from(&self.lowered, self.inc.verdict());
+                self.report = report_from(&self.lowered, self.inc.verdict().clone());
                 Ok(&self.report)
             }
             Err(c) => {
@@ -246,7 +249,7 @@ impl DeltaState {
         match result {
             Ok(_) => {
                 self.pending = Pending::Clean;
-                self.report = report_from(&self.lowered, self.inc.verdict());
+                self.report = report_from(&self.lowered, self.inc.verdict().clone());
                 Ok(&self.report)
             }
             Err(c) => Err(cancelled_to_error(c)),
@@ -259,23 +262,6 @@ fn cancelled_to_error(c: parx::Cancelled) -> ErmesError {
         reason: c.reason,
         completed: 0,
         total: 1,
-    }
-}
-
-/// Maps a TMG verdict to the design-level report — the same code path as
-/// [`analyze_design`](crate::analyze_design)'s critical-set mapping.
-fn report_from(lowered: &LoweredTmg, verdict: &Verdict) -> PerfReport {
-    let (critical_processes, critical_channels) = match verdict {
-        Verdict::Live { critical, .. } => (
-            lowered.processes_of(&critical.transitions),
-            lowered.channels_of(&critical.transitions),
-        ),
-        _ => (Vec::new(), Vec::new()),
-    };
-    PerfReport {
-        verdict: verdict.clone(),
-        critical_processes,
-        critical_channels,
     }
 }
 

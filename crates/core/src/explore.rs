@@ -8,9 +8,7 @@
 //! latencies. Previously visited configurations are excluded by no-good
 //! cuts; the loop stops when the active optimization proposes no change.
 
-use crate::analysis::{
-    analyze_design, analyze_design_cancellable, analyze_design_with_jobs, target_ratio, PerfReport,
-};
+use crate::analysis::{analyze_design, analyze_report, target_ratio, PerfReport};
 use crate::cache::EngineCache;
 use crate::design::Design;
 use crate::error::ErmesError;
@@ -51,15 +49,11 @@ impl ExplorationConfig {
     }
 }
 
-/// Engine options orthogonal to the [`ExplorationConfig`]: how many
-/// threads the analysis may use and whether results are memoized in a
-/// shared [`EngineCache`].
-#[derive(Debug, Clone, Copy)]
+/// Engine options orthogonal to the [`ExplorationConfig`]: whether
+/// results are memoized in a shared [`EngineCache`], and the token that
+/// cancels the work.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ExploreOptions<'a> {
-    /// Worker threads for the per-SCC cycle-ratio solves (`0` = all
-    /// hardware threads, `1` = serial). Results are bit-identical at any
-    /// value.
-    pub jobs: usize,
     /// Memoization cache shared across runs on the same base design.
     pub cache: Option<&'a EngineCache>,
     /// Cooperative cancellation token. When set, the loop polls it at
@@ -70,25 +64,19 @@ pub struct ExploreOptions<'a> {
     pub cancel: Option<&'a parx::CancelToken>,
 }
 
-impl Default for ExploreOptions<'_> {
-    /// Serial analysis, no cache, no cancellation — the behavior of
-    /// plain [`explore`].
-    fn default() -> Self {
-        ExploreOptions {
-            jobs: 1,
-            cache: None,
-            cancel: None,
-        }
-    }
-}
-
-impl<'a> ExploreOptions<'a> {
-    fn analyze(&self, design: &Design) -> Result<PerfReport, parx::Cancelled> {
-        match (self.cache, self.cancel) {
-            (Some(cache), Some(token)) => cache.analyze_cancellable(design, self.jobs, token),
-            (Some(cache), None) => Ok(cache.analyze(design, self.jobs)),
-            (None, Some(token)) => analyze_design_cancellable(design, self.jobs, token),
-            (None, None) => Ok(analyze_design_with_jobs(design, self.jobs)),
+impl ExploreOptions<'_> {
+    /// [`analyze_design`] under these options: through the cache when one
+    /// is set, polling the token when one is set. The report is
+    /// bit-identical either way.
+    ///
+    /// # Errors
+    ///
+    /// [`parx::Cancelled`] when the token fired before the analysis
+    /// finished.
+    pub fn analyze(&self, design: &Design) -> Result<PerfReport, parx::Cancelled> {
+        match self.cache {
+            Some(cache) => cache.analyze_with(design, self.cancel),
+            None => analyze_report(design, self.cancel),
         }
     }
 
@@ -293,10 +281,9 @@ fn cancelled(err: parx::Cancelled, completed: usize, total: usize) -> ErmesError
     }
 }
 
-/// [`explore`] with explicit engine options: worker threads for the
-/// analysis, an optional shared [`EngineCache`], and an optional
-/// [`parx::CancelToken`]. The trace is bit-identical to the plain
-/// serial run at any `jobs` value, with or without the cache or a
+/// [`explore`] with explicit engine options: an optional shared
+/// [`EngineCache`] and an optional [`parx::CancelToken`]. The trace is
+/// bit-identical to the plain run with or without the cache or a
 /// (non-firing) token.
 ///
 /// # Errors
@@ -648,19 +635,18 @@ mod tests {
         let config = ExplorationConfig::with_target(50);
         let plain = explore(make(), config).expect("explores");
         let cache = EngineCache::new();
-        for jobs in [1, 4] {
+        for pass in 0..2 {
             let opts = ExploreOptions {
-                jobs,
                 cache: Some(&cache),
                 cancel: None,
             };
             let run = explore_with(make(), config, &opts).expect("explores");
-            assert_eq!(run.iterations, plain.iterations, "jobs = {jobs}");
+            assert_eq!(run.iterations, plain.iterations, "pass {pass}");
             assert_eq!(run.best_index, plain.best_index);
             assert_eq!(
                 run.design.selection(),
                 plain.design.selection(),
-                "jobs = {jobs}"
+                "pass {pass}"
             );
         }
         let stats = cache.stats();
@@ -679,7 +665,6 @@ mod tests {
         let plain = explore(make(), config).expect("explores");
         let token = parx::CancelToken::new();
         let opts = ExploreOptions {
-            jobs: 1,
             cache: None,
             cancel: Some(&token),
         };
@@ -695,7 +680,6 @@ mod tests {
         let token = parx::CancelToken::new();
         token.cancel(parx::CancelReason::Deadline);
         let opts = ExploreOptions {
-            jobs: 1,
             cache: None,
             cancel: Some(&token),
         };

@@ -67,9 +67,7 @@ mod explore;
 mod opt;
 mod sweep;
 
-pub use analysis::{
-    analyze_design, analyze_design_cancellable, analyze_design_with_jobs, target_ratio, PerfReport,
-};
+pub use analysis::{analyze_design, target_ratio, PerfReport};
 pub use bottleneck::{bottleneck_report, bottleneck_report_with, BottleneckItem, BottleneckReport};
 pub use buffers::{buffer_sensitivity, size_buffers, BufferEffect};
 pub use cache::{CacheStats, EngineCache};

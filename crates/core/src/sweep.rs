@@ -31,8 +31,7 @@ pub struct SweepPoint {
 pub struct SweepOptions {
     /// Worker threads across the target ladder (`0` = all hardware
     /// threads, `1` = serial). Each target explores a fresh copy of the
-    /// design; within a target the analysis stays serial so the sweep
-    /// does not oversubscribe. The front is bit-identical at any value.
+    /// design on one thread. The front is bit-identical at any value.
     pub jobs: usize,
     /// Share one [`EngineCache`] across the ladder so configurations
     /// visited by several targets are analyzed and ordered once. `false`
@@ -226,7 +225,6 @@ pub fn sweep_point(
     let _span = trace::span("sweep_target");
     trace::attr("target", target);
     let opts = ExploreOptions {
-        jobs: 1,
         cache: options.memoize.then_some(cache),
         cancel,
     };

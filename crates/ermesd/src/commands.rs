@@ -97,13 +97,9 @@ pub fn analyze_design(
     cache: Option<&ermes::EngineCache>,
     cancel: Option<&parx::CancelToken>,
 ) -> Result<String, CliError> {
-    let report = match (cache, cancel) {
-        (Some(cache), Some(token)) => cache.analyze_cancellable(design, 1, token),
-        (Some(cache), None) => Ok(cache.analyze(design, 1)),
-        (None, Some(token)) => ermes::analyze_design_cancellable(design, 1, token),
-        (None, None) => Ok(ermes::analyze_design(design)),
-    };
-    let report = report.map_err(|e| cancelled(e, 0, 1))?;
+    let report = ermes::ExploreOptions { cache, cancel }
+        .analyze(design)
+        .map_err(|e| cancelled(e, 0, 1))?;
     Ok(render_report(design, &report, None))
 }
 
@@ -210,12 +206,9 @@ pub fn render_verify_system(
     let report = verify::verify_system(sys, &verify::VerifyConfig::default(), cancel)
         .map_err(|e| cancelled(e, 0, 2))?;
     let lowered = sysgraph::lower_to_tmg(sys);
-    let howard = match cancel {
-        Some(token) => {
-            tmg::analyze_with_cancel(lowered.tmg(), 1, token).map_err(|e| cancelled(e, 1, 2))?
-        }
-        None => tmg::analyze(lowered.tmg()),
-    };
+    let howard = tmg::IncrementalAnalysis::new_with_cancel(lowered.tmg(), cancel)
+        .map_err(|e| cancelled(e, 1, 2))?
+        .into_verdict();
 
     let mut out = String::new();
     let _ = writeln!(
@@ -358,20 +351,14 @@ pub fn cmd_order(spec: &SystemSpec) -> Result<(String, String), CliError> {
     Ok((out, new_spec.to_json_pretty()))
 }
 
-/// `ermes explore <spec> --target <cycles> [--jobs <n>]` — the Fig. 5
-/// loop. `jobs` threads the cycle-time analysis (`0` = all hardware
-/// threads); the trace is bit-identical at any value.
+/// `ermes explore <spec> --target <cycles>` — the Fig. 5 loop.
 ///
 /// # Errors
 ///
 /// [`CliError`] on malformed specs or a deadlocking system.
-pub fn cmd_explore(
-    spec: &SystemSpec,
-    target: u64,
-    jobs: usize,
-) -> Result<(String, String), CliError> {
+pub fn cmd_explore(spec: &SystemSpec, target: u64) -> Result<(String, String), CliError> {
     let cache = ermes::EngineCache::new();
-    let (mut out, json) = explore_design(spec, spec.to_design()?, target, jobs, &cache, None)?;
+    let (mut out, json) = explore_design(spec, spec.to_design()?, target, &cache, None)?;
     out.push_str(&cache_stats_line(&cache.stats()));
     Ok((out, json))
 }
@@ -393,12 +380,10 @@ pub fn explore_design(
     spec: &SystemSpec,
     design: ermes::Design,
     target: u64,
-    jobs: usize,
     cache: &ermes::EngineCache,
     cancel: Option<&parx::CancelToken>,
 ) -> Result<(String, String), CliError> {
     let options = ermes::ExploreOptions {
-        jobs,
         cache: Some(cache),
         cancel,
     };
@@ -781,7 +766,7 @@ mod tests {
     #[test]
     fn explore_meets_easy_target() {
         let spec = parse_spec(SAMPLE).expect("valid");
-        let (report, json) = cmd_explore(&spec, 6, 1).expect("explores");
+        let (report, json) = cmd_explore(&spec, 6).expect("explores");
         assert!(report.contains("best: iteration"));
         assert!(report.contains("cache:"), "{report}");
         let reparsed = parse_spec(&json).expect("valid json");

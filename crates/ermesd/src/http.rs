@@ -139,9 +139,18 @@ pub fn read_request<R: BufRead>(reader: &mut R, max_body: usize) -> Result<Reque
             ));
         }
     }
-    let content_length = match headers.iter().find(|(k, _)| k == "content-length") {
+    // Two differing lengths frame the body two ways: a proxy honoring the
+    // other one would split the stream elsewhere (RFC 9112 §6.3).
+    let mut lengths = headers
+        .iter()
+        .filter(|(k, _)| k == "content-length")
+        .map(|(_, v)| v);
+    let content_length = match lengths.next() {
         None => 0,
-        Some((_, v)) => v
+        Some(v) if lengths.any(|other| other != v) => {
+            return Err(malformed(400, "conflicting content-length headers"));
+        }
+        Some(v) => v
             .parse::<usize>()
             .map_err(|_| malformed(400, format!("invalid content-length `{v}`")))?,
     };

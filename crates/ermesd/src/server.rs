@@ -1287,6 +1287,8 @@ fn analysis_input(cx: &Ctx) -> Result<(Arc<Decoded>, AnalysisParams), Response> 
 struct AnalysisParams {
     target: u64,
     targets: Vec<u64>,
+    /// Sweep threads. `/explore` shares this parser, so it accepts and
+    /// validates `?jobs=` too, but an exploration runs on one thread.
     jobs: usize,
     deadline: Option<Instant>,
 }
@@ -1396,10 +1398,10 @@ fn explore(cx: &Ctx) -> Handled {
             return Ok(reply);
         }
     }
-    let (target, jobs) = (params.target, params.jobs);
+    let target = params.target;
     Ok(run_locally(cx, decoded, &params, move |d, cancel| {
         let design = d.design.clone();
-        let (report, json) = explore_design(&d.spec, design, target, jobs, &d.cache, Some(cancel))?;
+        let (report, json) = explore_design(&d.spec, design, target, &d.cache, Some(cancel))?;
         Ok(format!("{report}{json}\n"))
     }))
 }
@@ -1541,13 +1543,9 @@ fn forward_explore(
     decoded: &Decoded,
     params: &AnalysisParams,
 ) -> Option<Reply> {
-    use std::fmt::Write as _;
     let run = |_: &CancelToken| {
         let key = shard_key(decoded.hash, params.target);
-        let mut target = format!("/explore?target={}", params.target);
-        if params.jobs != 1 {
-            let _ = write!(target, "&jobs={}", params.jobs);
-        }
+        let target = format!("/explore?target={}", params.target);
         cluster
             .dispatch(key, "POST", &target, &decoded.body)
             .map_err(|_| {
@@ -1811,8 +1809,8 @@ mod tests {
     fn cache_lru_aggregates_stats_over_live_caches() {
         let lru = DesignLru::new(4, 16);
         let x = lru.get(&body(1)).expect("valid");
-        x.cache.analyze(&x.design, 1);
-        x.cache.analyze(&x.design, 1);
+        x.cache.analyze(&x.design);
+        x.cache.analyze(&x.design);
         lru.get(&body(2)).expect("valid");
         let designs = lru.ready();
         let (stats, entries) = aggregate(&designs);

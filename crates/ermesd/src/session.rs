@@ -293,6 +293,135 @@ mod tests {
         assert!(parse_edit(r#"{"reorder": {"process": "dct", "gets": [1], "puts": []}}"#).is_err());
     }
 
+    /// The JSON body a client sends for `edit`.
+    fn edit_body(edit: &EditRequest) -> String {
+        let text = |s: &str| Value::String(s.to_string());
+        let names = |list: &[String]| Value::Array(list.iter().map(|n| text(n)).collect());
+        let (op, fields) = match edit {
+            EditRequest::Reselect { process, point } => (
+                "reselect",
+                vec![
+                    ("process".to_string(), text(process)),
+                    ("point".to_string(), Value::Number(*point as f64)),
+                ],
+            ),
+            EditRequest::Reorder {
+                process,
+                gets,
+                puts,
+            } => (
+                "reorder",
+                vec![
+                    ("process".to_string(), text(process)),
+                    ("gets".to_string(), names(gets)),
+                    ("puts".to_string(), names(puts)),
+                ],
+            ),
+        };
+        Value::Object(vec![(op.to_string(), Value::Object(fields))]).to_string_pretty()
+    }
+
+    /// Names drawn from a small alphabet, quotes, escapes and non-ASCII
+    /// letters included.
+    fn arb_name() -> impl proptest::prelude::Strategy<Value = String> {
+        use proptest::prelude::*;
+        proptest::collection::vec(0usize..8, 0..6).prop_map(|chars| {
+            chars
+                .into_iter()
+                .map(|i| ["a", "z", "_", "\"", "\\", "é", " ", "0"][i])
+                .collect()
+        })
+    }
+
+    fn arb_edit() -> impl proptest::prelude::Strategy<Value = EditRequest> {
+        use proptest::prelude::*;
+        (
+            any::<bool>(),
+            arb_name(),
+            0usize..1 << 20,
+            proptest::collection::vec(arb_name(), 0..4),
+            proptest::collection::vec(arb_name(), 0..4),
+        )
+            .prop_map(|(reselect, process, point, gets, puts)| {
+                if reselect {
+                    EditRequest::Reselect { process, point }
+                } else {
+                    EditRequest::Reorder {
+                        process,
+                        gets,
+                        puts,
+                    }
+                }
+            })
+    }
+
+    mod edit_bodies {
+        //! Session edit bodies under hostile input: no text may panic
+        //! `parse_edit`, and every rejection is an error message the
+        //! server answers with a 400.
+        use super::{arb_edit, edit_body};
+        use crate::session::parse_edit;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..300)) {
+                let _ = parse_edit(&String::from_utf8_lossy(&bytes));
+            }
+
+            #[test]
+            fn valid_edits_round_trip(edit in arb_edit()) {
+                prop_assert_eq!(parse_edit(&edit_body(&edit)), Ok(edit));
+            }
+
+            /// Every strict prefix of a body is incomplete JSON.
+            #[test]
+            fn truncated_edits_are_rejected(edit in arb_edit(), cut in 0usize..400) {
+                let body = edit_body(&edit);
+                let mut cut = cut % body.len();
+                while !body.is_char_boundary(cut) {
+                    cut -= 1;
+                }
+                prop_assert!(parse_edit(&body[..cut]).is_err());
+            }
+
+            #[test]
+            fn flipped_bytes_never_panic(edit in arb_edit(), at in 0usize..400, byte in any::<u8>()) {
+                let mut bytes = edit_body(&edit).into_bytes();
+                let at = at % bytes.len();
+                bytes[at] = byte;
+                let _ = parse_edit(&String::from_utf8_lossy(&bytes));
+            }
+
+            /// A `point` that is not a non-negative integer within the
+            /// JSON parser's exact range, and names that are not strings,
+            /// are rejected.
+            #[test]
+            fn mistyped_fields_are_rejected(kind in 0usize..8, process in super::arb_name()) {
+                let bad = ["-1", "1.5", "1e300", "18446744073709551616", "\"2\"", "null", "true", "[0]"][kind];
+                let process = crate::json::Value::String(process).to_string_pretty();
+                let reselect = format!(r#"{{"reselect": {{"process": {process}, "point": {bad}}}}}"#);
+                prop_assert!(parse_edit(&reselect).is_err(), "{}", reselect);
+                // `"2"` is a valid channel name, just not a valid point.
+                if kind != 4 {
+                    let reorder = format!(r#"{{"reorder": {{"process": {process}, "gets": [{bad}], "puts": []}}}}"#);
+                    prop_assert!(parse_edit(&reorder).is_err(), "{}", reorder);
+                }
+            }
+
+            /// Nesting past the parser's depth cap is an error, not a
+            /// stack overflow.
+            #[test]
+            fn deep_nesting_is_rejected(depth in 128usize..5000, open in 0usize..2) {
+                let (l, r) = [("[", "]"), ("{\"a\":", "}")][open];
+                let body = format!(r#"{{"reselect": {}0{}}}"#, l.repeat(depth), r.repeat(depth));
+                prop_assert!(parse_edit(&body).is_err());
+            }
+        }
+    }
+
     fn sample_state() -> DeltaState {
         let spec = crate::spec::SystemSpec::from_json(
             r#"{

@@ -273,12 +273,91 @@ impl ChannelSpec {
     }
 }
 
+/// Rejects a spec whose delays or tokens could overflow the integer
+/// arithmetic of the cycle-time solvers (`tmg`), so no request can panic
+/// the analysis or silently wrap it.
+///
+/// The spec lowers (`sysgraph::lower_to_tmg`) to a ratio graph with one
+/// edge per place, carrying the delay of the place's consumer and the
+/// place's tokens. Every process transition has one input place, every
+/// channel transfer two, and an initialized channel adds a zero-delay
+/// handshake with two places; each process chain holds one token. With
+/// every process at its largest Pareto latency, so that no later
+/// reselect leaves the range:
+///
+/// - `D = Σ latency(process) + 2·Σ latency(channel)` is the total edge
+///   delay, which bounds every cycle's delay sum;
+/// - `T = #processes + Σ initial_tokens` is the total edge tokens, which
+///   bounds every cycle's token sum;
+/// - `V` transitions and `E` places are the vertices and edges.
+///
+/// The bound is `D ≤ i64::MAX`, `T ≤ i64::MAX` and
+/// `2·(V + 1)·E·D·T ≤ i128::MAX`:
+///
+/// - Howard sums policy cycles in `i64`, and `Ratio` keeps `i64`
+///   numerators and denominators.
+/// - Every reduced cost `d·den + num·t` is at most `2·D·T`. Howard's
+///   magnitude bound (and its bias chains of up to `V + 1` reduced costs)
+///   and the parametric fallback's Bellman–Ford distances (walks of at
+///   most `V·E` relaxed edges) are all computed in `i128`.
+fn check_solver_range(
+    processes: &[ProcessSpec],
+    channels: &[ChannelSpec],
+) -> Result<(), JsonError> {
+    let largest = |p: &ProcessSpec| {
+        p.pareto
+            .iter()
+            .flatten()
+            .map(|point| point.latency)
+            .fold(p.latency, u64::max)
+    };
+    let delay = processes
+        .iter()
+        .map(|p| u128::from(largest(p)))
+        .sum::<u128>()
+        + 2 * channels.iter().map(|c| u128::from(c.latency)).sum::<u128>();
+    let tokens = processes.len() as u128
+        + channels
+            .iter()
+            .map(|c| u128::from(c.initial_tokens))
+            .sum::<u128>();
+    let initialized = channels.iter().filter(|c| c.initial_tokens > 0).count() as u128;
+    let transitions = (processes.len() + channels.len()) as u128 + initialized;
+    let places = (processes.len() + 2 * channels.len()) as u128 + 2 * initialized;
+    let wide = [transitions + 1, places, delay, tokens]
+        .into_iter()
+        .try_fold(2u128, u128::checked_mul)
+        .is_some_and(|product| product <= i128::MAX as u128);
+    let narrow = i64::MAX as u128;
+    if delay > narrow {
+        return Err(JsonError::schema(format!(
+            "spec: the `latency` total {delay} (processes at their largest Pareto latency, \
+             channels counted twice) exceeds the cycle-time solvers' limit {narrow}"
+        )));
+    }
+    if tokens > narrow {
+        return Err(JsonError::schema(format!(
+            "spec: the token total {tokens} (one per process plus every `initial_tokens`) \
+             exceeds the cycle-time solvers' limit {narrow}"
+        )));
+    }
+    if !wide {
+        return Err(JsonError::schema(format!(
+            "spec: the `latency` total {delay} and token total {tokens} over {transitions} \
+             transitions and {places} places exceed the cycle-time solvers' 128-bit range"
+        )));
+    }
+    Ok(())
+}
+
 impl SystemSpec {
     /// Parses a spec from JSON text.
     ///
     /// # Errors
     ///
-    /// [`JsonError`] on malformed JSON or schema violations.
+    /// [`JsonError`] on malformed JSON or schema violations, including
+    /// latency and token totals the cycle-time solvers' integers cannot
+    /// hold.
     pub fn from_json(text: &str) -> Result<Self, JsonError> {
         let value = json::parse(text)?;
         let processes = field(&value, "spec", "processes")?
@@ -293,6 +372,7 @@ impl SystemSpec {
             .iter()
             .map(ChannelSpec::from_value)
             .collect::<Result<Vec<_>, _>>()?;
+        check_solver_range(&processes, &channels)?;
         Ok(SystemSpec {
             processes,
             channels,
@@ -564,6 +644,67 @@ mod tests {
             r#"{"processes": [{"name": "p", "latency": -1}], "channels": []}"#
         )
         .is_err());
+    }
+
+    /// A live ring of `n` processes and `n` channels, every latency at
+    /// the JSON maximum 2^53 and one pre-loaded item on the closing
+    /// channel. The first `reselectable` processes currently run at
+    /// latency 1 but keep 2^53 on their Pareto frontier.
+    fn max_latency_ring(n: usize, reselectable: usize) -> String {
+        let top = 1u64 << 53;
+        SystemSpec {
+            processes: (0..n)
+                .map(|i| ProcessSpec {
+                    name: format!("p{i}"),
+                    latency: if i < reselectable { 1 } else { top },
+                    pareto: (i < reselectable).then(|| {
+                        vec![
+                            ParetoPointSpec {
+                                latency: 1,
+                                area: 1.0,
+                            },
+                            ParetoPointSpec {
+                                latency: top,
+                                area: 0.5,
+                            },
+                        ]
+                    }),
+                    get_order: None,
+                    put_order: None,
+                })
+                .collect(),
+            channels: (0..n)
+                .map(|i| ChannelSpec {
+                    name: format!("c{i}"),
+                    from: format!("p{i}"),
+                    to: format!("p{}", (i + 1) % n),
+                    latency: top,
+                    initial_tokens: u64::from(i + 1 == n),
+                })
+                .collect(),
+        }
+        .to_json_pretty()
+    }
+
+    #[test]
+    fn latency_totals_inside_the_solver_range_analyze() {
+        // D = 3·341·2^53 = 1023·2^53 ≤ i64::MAX: the largest such ring.
+        let spec = SystemSpec::from_json(&max_latency_ring(341, 0)).expect("inside the bound");
+        let report = ermes::analyze_design(&spec.to_design().expect("valid"));
+        // The critical cycle threads every process and channel once.
+        assert_eq!(report.cycle_time(), Some(tmg::Ratio::new(682 << 53, 1)));
+        assert!(SystemSpec::from_json(&max_latency_ring(341, 3)).is_ok());
+    }
+
+    #[test]
+    fn latency_totals_beyond_the_solver_range_are_rejected() {
+        // D = 1026·2^53 > i64::MAX.
+        let err = SystemSpec::from_json(&max_latency_ring(342, 0)).expect_err("outside the bound");
+        assert!(err.to_string().contains("`latency`"), "{err}");
+        // The current latencies total 1023·2^53 + 3, inside the bound, but
+        // a reselect to the slowest points would leave it: the largest
+        // Pareto latency is what counts.
+        assert!(SystemSpec::from_json(&max_latency_ring(342, 3)).is_err());
     }
 
     #[test]

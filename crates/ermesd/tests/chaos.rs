@@ -405,7 +405,7 @@ fn mixed_chaos_with_retrying_client_stays_consistent_and_drains() {
     });
     let spec = SystemSpec::from_json(MOTIVATING).expect("parses");
     let expect_analyze = ermesd::cmd_analyze(&spec).expect("analyzes");
-    let (report, json) = ermesd::cmd_explore(&spec, 900, 1).expect("explores");
+    let (report, json) = ermesd::cmd_explore(&spec, 900).expect("explores");
     let report: String = report
         .lines()
         .filter(|l| !l.starts_with("cache:"))

@@ -192,7 +192,7 @@ fn concurrent_clients_get_cli_identical_responses_and_metrics_add_up() {
     let expect_analyze_motivating = ermesd::cmd_analyze(&motivating).expect("analyzes");
     let expect_analyze_mpeg2 = ermesd::cmd_analyze(&mpeg2).expect("analyzes");
     let explore_expected = |spec: &SystemSpec| {
-        let (report, json) = ermesd::cmd_explore(spec, TARGET, 1).expect("explores");
+        let (report, json) = ermesd::cmd_explore(spec, TARGET).expect("explores");
         format!("{}{json}\n", strip_cache_line(&report))
     };
     let expect_explore_motivating = explore_expected(&motivating);
@@ -289,7 +289,7 @@ fn responses_are_identical_at_any_worker_count() {
         shutdown(addr, handle);
     }
     let spec = SystemSpec::from_json(MOTIVATING).expect("parses");
-    let (report, json) = ermesd::cmd_explore(&spec, TARGET, 1).expect("explores");
+    let (report, json) = ermesd::cmd_explore(&spec, TARGET).expect("explores");
     let expect_explore = format!("{}{json}\n", strip_cache_line(&report));
     let expect_sweep =
         strip_cache_line(&ermesd::cmd_sweep(&spec, &[900, 1200, 5000], 1).expect("sweeps"));
@@ -393,6 +393,31 @@ fn malformed_inputs_map_to_clean_http_errors() {
     );
     assert_eq!(status, 400);
     assert!(body.contains("pareto"), "{body}");
+    // Delays whose sums overflow the cycle-time solvers' integers: a live
+    // 600-process ring, every latency at the JSON maximum 2^53.
+    let top = 1u64 << 53;
+    let processes: Vec<String> = (0..600)
+        .map(|i| format!(r#"{{"name": "p{i}", "latency": {top}}}"#))
+        .collect();
+    let channels: Vec<String> = (0..600)
+        .map(|i| {
+            format!(
+                r#"{{"name": "c{i}", "from": "p{i}", "to": "p{}", "latency": {top}, "initial_tokens": {}}}"#,
+                (i + 1) % 600,
+                u64::from(i == 599)
+            )
+        })
+        .collect();
+    let ring = format!(
+        r#"{{"processes": [{}], "channels": [{}]}}"#,
+        processes.join(","),
+        channels.join(",")
+    );
+    for path in ["/analyze", "/session"] {
+        let (status, body) = post(addr, path, &ring);
+        assert_eq!(status, 400, "{path}: {body}");
+        assert!(body.contains("latency"), "{path}: {body}");
+    }
     // A body that fails to decode leaves no entry in the design LRU.
     let (_, metrics) = get(addr, "/metrics");
     assert_eq!(metric_value(&metrics, "ermesd_design_caches"), 0);

@@ -7,12 +7,12 @@
 
 use crate::deadlock::find_token_free_cycle;
 use crate::graph::Tmg;
-use crate::howard::{howard_on_component, CycleRatioResult};
+use crate::howard::CycleRatioResult;
 use crate::ids::{PlaceId, TransitionId};
+use crate::incremental::IncrementalAnalysis;
 use crate::parametric::max_cycle_ratio_parametric;
 use crate::ratio::Ratio;
 use crate::ratio_graph::RatioGraph;
-use crate::scc::tarjan;
 
 /// A critical cycle: the cycle whose delay-to-token ratio equals the cycle
 /// time of the graph. Improving the system requires shortening a delay on
@@ -81,6 +81,10 @@ impl Verdict {
 /// Analyzes a timed marked graph: deadlock check, then exact cycle time
 /// with a critical-cycle witness.
 ///
+/// This is the first solve of an [`IncrementalAnalysis`], whose state is
+/// dropped once the verdict is taken; use that type directly to keep the
+/// state across edits or to poll a cancellation token.
+///
 /// # Examples
 ///
 /// ```
@@ -99,114 +103,7 @@ impl Verdict {
 /// ```
 #[must_use]
 pub fn analyze(graph: &Tmg) -> Verdict {
-    analyze_with_jobs(graph, 1)
-}
-
-/// [`analyze`] with the per-SCC Howard solves spread over up to `jobs`
-/// worker threads (`0` = all hardware threads, `1` = inline/serial).
-///
-/// Strongly connected components share no cycles, so each is solved
-/// independently; the per-component results are then reduced **in
-/// component order** with the same strictly-greater comparison as the
-/// serial loop. The verdict — cycle time *and* critical-cycle witness —
-/// is therefore bit-identical at any thread count.
-#[must_use]
-pub fn analyze_with_jobs(graph: &Tmg, jobs: usize) -> Verdict {
-    analyze_inner(graph, jobs, None).expect("no cancel token, cannot be cancelled")
-}
-
-/// [`analyze_with_jobs`], but cooperatively cancellable: every per-SCC
-/// Howard solve polls `cancel` between policy-improvement rounds, so a
-/// fired token stops the analysis within one round per in-flight
-/// component rather than at solve completion.
-///
-/// On the `Ok` path the verdict is bit-identical to
-/// [`analyze_with_jobs`] at any thread count.
-///
-/// # Errors
-///
-/// [`Cancelled`](parx::Cancelled) when the token fired before the
-/// analysis finished. A cancelled analysis never falls back to the
-/// (uncancellable) parametric solver.
-pub fn analyze_with_cancel(
-    graph: &Tmg,
-    jobs: usize,
-    cancel: &parx::CancelToken,
-) -> Result<Verdict, parx::Cancelled> {
-    analyze_inner(graph, jobs, Some(cancel))
-}
-
-fn analyze_inner(
-    graph: &Tmg,
-    jobs: usize,
-    cancel: Option<&parx::CancelToken>,
-) -> Result<Verdict, parx::Cancelled> {
-    let _span = trace::span("analysis");
-    if let Some(witness) = find_token_free_cycle(graph) {
-        return Ok(Verdict::Deadlock { witness });
-    }
-    let rg = RatioGraph::from_tmg(graph);
-    let scc = tarjan(&rg);
-    let groups = scc.groups();
-    trace::attr("sccs", groups.len());
-    // Fan the per-component solves out by index over the flat grouping —
-    // one id array instead of one `Vec` per component. Each worker thread
-    // reuses its thread-local Howard scratch arena across every component
-    // it drains from the queue.
-    let indices: Vec<u32> = (0..groups.len() as u32).collect();
-    let results = parx::par_map(jobs, &indices, |i, &c| {
-        let _span = trace::span("howard");
-        trace::attr("scc", i);
-        let members = groups.group(c as usize);
-        trace::attr("nodes", members.len());
-        howard_on_component(&rg, &scc, members, cancel)
-    });
-    let mut best: Option<CycleRatioResult> = None;
-    for r in results {
-        if let Some(r) = r? {
-            if best.as_ref().is_none_or(|b| r.ratio > b.ratio) {
-                best = Some(r);
-            }
-        }
-    }
-    // Fallback: if Howard declined (iteration cap) we still owe an exact
-    // answer. The parametric solver is slower but unconditional — poll
-    // the token once more before committing to it.
-    if best.is_none() && crate::parametric::find_any_cycle(&rg).is_some() {
-        if let Some(token) = cancel {
-            token.check()?;
-        }
-        best = max_cycle_ratio_parametric(&rg);
-    }
-    Ok(match best {
-        None => Verdict::Acyclic,
-        Some(result) => {
-            let places: Vec<PlaceId> = result
-                .cycle_edges
-                .iter()
-                .map(|&e| rg.edges[e].place.expect("edge lowered from a place"))
-                .collect();
-            let transitions: Vec<TransitionId> =
-                places.iter().map(|&p| graph.place(p).consumer()).collect();
-            let delay_sum = transitions
-                .iter()
-                .map(|&t| graph.transition(t).delay())
-                .sum();
-            let token_sum = places
-                .iter()
-                .map(|&p| graph.place(p).initial_tokens())
-                .sum();
-            Verdict::Live {
-                cycle_time: result.ratio,
-                critical: CriticalCycle {
-                    places,
-                    transitions,
-                    delay_sum,
-                    token_sum,
-                },
-            }
-        }
-    })
+    IncrementalAnalysis::new(graph).into_verdict()
 }
 
 /// Exact cycle time computed with the parametric baseline solver instead
@@ -217,10 +114,20 @@ pub fn analyze_parametric(graph: &Tmg) -> Verdict {
         return Verdict::Deadlock { witness };
     }
     let rg = RatioGraph::from_tmg(graph);
-    if crate::parametric::find_any_cycle(&rg).is_none() {
+    cycle_verdict(graph, &rg, max_cycle_ratio_parametric(&rg))
+}
+
+/// The verdict of a deadlock-free graph from its maximum-ratio cycle
+/// (`None` when `rg` has no cycle): maps the witness's ratio-graph edges
+/// back to the places and transitions of `graph`.
+pub(crate) fn cycle_verdict(
+    graph: &Tmg,
+    rg: &RatioGraph,
+    best: Option<CycleRatioResult>,
+) -> Verdict {
+    let Some(result) = best else {
         return Verdict::Acyclic;
-    }
-    let result = max_cycle_ratio_parametric(&rg).expect("graph is cyclic");
+    };
     let places: Vec<PlaceId> = result
         .cycle_edges
         .iter()
@@ -345,11 +252,8 @@ mod tests {
             b.add_place(pair[0], pair[1], 1);
         }
         let g = b.build().expect("valid");
-        let serial = analyze_with_jobs(&g, 1);
+        let serial = analyze(&g);
         assert!(serial.cycle_time().is_some(), "rings are live");
-        for jobs in [2, 3, 4, 8, 0] {
-            assert_eq!(analyze_with_jobs(&g, jobs), serial, "jobs = {jobs}");
-        }
         assert_eq!(analyze(&g), serial);
     }
 
@@ -363,10 +267,12 @@ mod tests {
         b.add_place(c, a, 0);
         let g = b.build().expect("valid");
         let token = CancelToken::new();
-        let verdict = analyze_with_cancel(&g, 1, &token).expect("token is live");
+        let verdict = IncrementalAnalysis::new_with_cancel(&g, Some(&token))
+            .expect("token is live")
+            .into_verdict();
         assert_eq!(verdict, analyze(&g), "same verdict, bit-identical");
         token.cancel(CancelReason::Deadline);
-        let err = analyze_with_cancel(&g, 1, &token).expect_err("token fired");
+        let err = IncrementalAnalysis::new_with_cancel(&g, Some(&token)).expect_err("token fired");
         assert_eq!(err.reason, CancelReason::Deadline);
     }
 

@@ -17,7 +17,6 @@ use crate::ratio_graph::{EdgeIdx, RatioGraph};
 /// increasing order, explore simple paths using only vertices `>= s` and
 /// record a cycle whenever an edge returns to `s`. Exponential in the worst
 /// case — intended for graphs of at most a couple of dozen vertices.
-#[cfg_attr(not(test), allow(dead_code))]
 pub(crate) fn enumerate_elementary_cycles(graph: &RatioGraph) -> Vec<Vec<EdgeIdx>> {
     let n = graph.node_count;
     let mut cycles = Vec::new();
@@ -66,7 +65,6 @@ pub(crate) fn enumerate_elementary_cycles(graph: &RatioGraph) -> Vec<Vec<EdgeIdx
 
 /// Outcome of the brute-force maximum-cycle-ratio computation.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(not(test), allow(dead_code))]
 pub(crate) enum BruteForceOutcome {
     /// The graph has no cycle at all.
     Acyclic,
@@ -77,7 +75,6 @@ pub(crate) enum BruteForceOutcome {
 }
 
 /// Exhaustive maximum cycle ratio over all elementary cycles.
-#[cfg_attr(not(test), allow(dead_code))]
 pub(crate) fn max_cycle_ratio_brute(graph: &RatioGraph) -> BruteForceOutcome {
     let cycles = enumerate_elementary_cycles(graph);
     if cycles.is_empty() {

@@ -11,8 +11,8 @@
 //!
 //! The solver runs per strongly connected component; cycles with zero
 //! tokens (infinite ratio — structural deadlock) must be excluded by the
-//! caller, which [`analysis`](crate::analysis) does with the token-free
-//! cycle check.
+//! caller, which [`IncrementalAnalysis`](crate::IncrementalAnalysis) does
+//! with the token-free cycle check.
 
 use crate::ratio::Ratio;
 use crate::ratio_graph::{EdgeIdx, RatioGraph};
@@ -85,12 +85,12 @@ struct LocalEdge {
     tokens: i64,
 }
 
-/// Reusable working memory for [`howard_on_component_with`].
+/// Reusable working memory for [`howard_on_component`].
 ///
 /// One solve of a `k`-vertex component needs a dozen short-lived vectors;
 /// allocating them per call dominates the runtime of small solves. Holding
-/// a scratch across calls (as the incremental analyzer does per session)
-/// makes repeated solves allocation-free in the steady state. The scratch
+/// a scratch across calls (as each incremental analysis does for its
+/// lifetime) makes repeated solves allocation-free in the steady state. The scratch
 /// carries **no state between calls** — every field is (re)initialized
 /// before use — so reusing one never changes a result.
 #[derive(Debug, Default)]
@@ -130,48 +130,34 @@ impl HowardScratch {
     }
 }
 
-thread_local! {
-    /// Per-thread scratch arena shared by every [`howard_on_component`]
-    /// call on that thread. A `parx` worker draining the per-SCC job queue
-    /// reuses one arena across all the components it solves (and the
-    /// serial path reuses it across whole analyses), so the steady state
-    /// allocates nothing per solve. Safe because the scratch carries no
-    /// state between calls — see [`HowardScratch`].
-    static SCRATCH: std::cell::RefCell<HowardScratch> =
-        std::cell::RefCell::new(HowardScratch::new());
+/// What one component's solve found.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum HowardOutcome {
+    /// The component has no internal edge, hence no cycle (a single
+    /// vertex without a self-loop).
+    NoCycle,
+    /// Policy iteration hit its round cap before a fixed point; the
+    /// component's ratio is unknown and the caller owes a fallback.
+    Capped,
+    /// The component's maximum cycle ratio with a witness cycle.
+    Converged(CycleRatioResult),
 }
 
-/// Runs Howard's algorithm on one strongly connected component, using the
-/// calling thread's scratch arena.
+/// Runs Howard's algorithm on one strongly connected component.
 ///
 /// `members` lists the vertices of the component; all cycles through them
-/// are assumed to have positive token sums. Returns `Ok(None)` if the
-/// component contains no cycle (single vertex without self-loop) or if the
-/// iteration cap is hit (callers fall back to the parametric solver), and
-/// `Err(Cancelled)` when `cancel` fires between policy-improvement rounds —
-/// the poll granularity that bounds cancellation latency to one round.
+/// are assumed to have positive token sums. `scratch` only changes where
+/// the working vectors live, never what the iteration computes. Returns
+/// `Err(Cancelled)` when `cancel` fires between policy-improvement
+/// rounds — the poll granularity that bounds cancellation latency to one
+/// round.
 pub(crate) fn howard_on_component(
-    graph: &RatioGraph,
-    scc: &SccDecomposition,
-    members: &[u32],
-    cancel: Option<&CancelToken>,
-) -> Result<Option<CycleRatioResult>, Cancelled> {
-    SCRATCH.with(|scratch| {
-        howard_on_component_with(&mut scratch.borrow_mut(), graph, scc, members, cancel)
-    })
-}
-
-/// [`howard_on_component`] with caller-provided scratch memory.
-///
-/// Bit-identical to the plain entry point: the scratch only changes where
-/// the working vectors live, not what the iteration computes.
-pub(crate) fn howard_on_component_with(
     scratch: &mut HowardScratch,
     graph: &RatioGraph,
     scc: &SccDecomposition,
     members: &[u32],
     cancel: Option<&CancelToken>,
-) -> Result<Option<CycleRatioResult>, Cancelled> {
+) -> Result<HowardOutcome, Cancelled> {
     let k = members.len();
     let comp = scc.component[members[0] as usize];
     let HowardScratch {
@@ -213,7 +199,7 @@ pub(crate) fn howard_on_component_with(
     }
     let edge_total = out_start[k];
     if edge_total == 0 {
-        return Ok(None);
+        return Ok(HowardOutcome::NoCycle);
     }
     cursor.clear();
     cursor.extend_from_slice(&out_start[..k]);
@@ -294,7 +280,12 @@ pub(crate) fn howard_on_component_with(
             edges, out_start, policy, lambda, bias128, state, path, k, cancel,
         )?
     };
-    Ok(converged.map(|best| extract_policy_cycle(edges, policy, best, seen_at, order)))
+    Ok(match converged {
+        Some(best) => {
+            HowardOutcome::Converged(extract_policy_cycle(edges, policy, best, seen_at, order))
+        }
+        None => HowardOutcome::Capped,
+    })
 }
 
 /// The policy-iteration loop: evaluate the current policy, then run one
@@ -495,14 +486,17 @@ mod tests {
     fn solve(g: &RatioGraph) -> Option<CycleRatioResult> {
         let scc = tarjan(g);
         let groups = scc.groups();
+        let mut scratch = HowardScratch::new();
         let mut best: Option<CycleRatioResult> = None;
         for c in 0..groups.len() {
-            if let Some(r) =
-                howard_on_component(g, &scc, groups.group(c), None).expect("not cancelled")
-            {
-                if best.as_ref().is_none_or(|b| r.ratio > b.ratio) {
-                    best = Some(r);
+            match howard_on_component(&mut scratch, g, &scc, groups.group(c), None) {
+                Ok(HowardOutcome::Converged(r)) => {
+                    if best.as_ref().is_none_or(|b| r.ratio > b.ratio) {
+                        best = Some(r);
+                    }
                 }
+                Ok(HowardOutcome::NoCycle) => {}
+                other => panic!("component {c}: {other:?}"),
             }
         }
         best
@@ -518,8 +512,14 @@ mod tests {
         let groups = scc.groups();
         let token = CancelToken::new();
         token.cancel(CancelReason::Disconnected);
-        let err = howard_on_component(&g, &scc, groups.group(0), Some(&token))
-            .expect_err("token already cancelled");
+        let err = howard_on_component(
+            &mut HowardScratch::new(),
+            &g,
+            &scc,
+            groups.group(0),
+            Some(&token),
+        )
+        .expect_err("token already cancelled");
         assert_eq!(err.reason, CancelReason::Disconnected);
     }
 
@@ -634,9 +634,10 @@ mod tests {
                 (&big, &scc_big, mem_big.group(0)),
                 (&small, &scc_small, mem_small.group(0)),
             ] {
-                let reused = howard_on_component_with(&mut scratch, g, scc, members, None)
+                let reused = howard_on_component(&mut scratch, g, scc, members, None)
                     .expect("not cancelled");
-                let fresh = howard_on_component(g, scc, members, None).expect("not cancelled");
+                let fresh = howard_on_component(&mut HowardScratch::new(), g, scc, members, None)
+                    .expect("not cancelled");
                 assert_eq!(reused, fresh);
             }
         }

@@ -1,10 +1,11 @@
-//! Incremental (dirty-SCC) cycle-time analysis.
+//! Incremental (dirty-SCC) cycle-time analysis — the crate's one solver
+//! driver.
 //!
-//! A design-space exploration step edits one process at a time, but
-//! [`analyze`](crate::analyze) recomputes everything from scratch: deadlock
-//! check, ratio-graph lowering, SCC decomposition, and one Howard solve per
-//! component. [`IncrementalAnalysis`] keeps all of that state alive between
-//! edits and re-derives only what an edit can actually invalidate:
+//! [`IncrementalAnalysis::new`] runs the whole pipeline once: deadlock
+//! check, ratio-graph lowering, SCC decomposition, one Howard solve per
+//! component, and the reduction to a verdict; [`analyze`](crate::analyze)
+//! is exactly that first solve. The state is then kept alive between
+//! edits, and only what an edit can actually invalidate is re-derived:
 //!
 //! - **Delay-only edits** ([`IncrementalAnalysis::reprice`]) — a process
 //!   reselect changes transition delays but no structure. The deadlock
@@ -21,8 +22,9 @@
 //! Every verdict produced this way is **bit-identical** to a from-scratch
 //! [`analyze`](crate::analyze) of the same graph: clean components reuse
 //! results a fresh solve would recompute from identical inputs with the
-//! same deterministic algorithm, and dirty components run that very
-//! algorithm. The differential test suite pins this equivalence.
+//! same deterministic algorithm, dirty components run that very
+//! algorithm, and one reduction turns the per-component results into the
+//! verdict. The differential test suite pins this equivalence.
 //!
 //! Cancellation is cooperative and leaves the state *resumable*: dirty
 //! flags are only cleared after a component's re-solve completes, so a
@@ -32,11 +34,12 @@
 //! the end); callers that already mutated their graph must retry the
 //! rebuild before trusting [`verdict`](IncrementalAnalysis::verdict).
 
+use crate::analysis::cycle_verdict;
 use crate::deadlock::find_token_free_cycle;
 use crate::graph::Tmg;
-use crate::howard::{howard_on_component_with, CycleRatioResult, HowardScratch};
-use crate::ids::{PlaceId, TransitionId};
-use crate::parametric::{find_any_cycle, max_cycle_ratio_parametric};
+use crate::howard::{howard_on_component, CycleRatioResult, HowardOutcome, HowardScratch};
+use crate::ids::TransitionId;
+use crate::parametric::max_cycle_ratio_parametric;
 use crate::ratio_graph::RatioGraph;
 use crate::scc::{tarjan, SccDecomposition, SccGroups};
 use crate::Verdict;
@@ -44,7 +47,10 @@ use parx::{CancelToken, Cancelled};
 
 /// Cached analysis state that tracks a [`Tmg`] across edits.
 ///
-/// See the [module docs](self) for the invalidation model.
+/// See the [module docs](self) for the invalidation model. The
+/// [`Default`] state is the analysis of the empty graph; a
+/// [`rebuild`](Self::rebuild) from it is a first solve traced as a
+/// structural edit.
 ///
 /// # Examples
 ///
@@ -72,19 +78,27 @@ pub struct IncrementalAnalysis {
     scc: SccDecomposition,
     /// Flat (CSR) member grouping of the cached decomposition.
     components: SccGroups,
-    /// Cached per-component Howard results, indexed like `components`.
-    results: Vec<Option<CycleRatioResult>>,
+    /// Cached per-component Howard outcomes, indexed like `components`.
+    results: Vec<HowardOutcome>,
     /// Components whose cached result is stale (set on edit, cleared only
     /// after a successful re-solve — the cancellation-resume invariant).
     dirty: Vec<bool>,
-    /// Cached token-free-cycle witness; `Some` means the verdict is
-    /// `Deadlock` and no ratio results are maintained.
-    deadlock: Option<Vec<PlaceId>>,
-    /// Whether the ratio graph has any cycle (structure-only; drives the
-    /// parametric-fallback condition exactly as the one-shot analysis).
-    has_cycle: bool,
     scratch: HowardScratch,
     verdict: Verdict,
+}
+
+impl Default for IncrementalAnalysis {
+    fn default() -> Self {
+        IncrementalAnalysis {
+            rg: RatioGraph::default(),
+            scc: SccDecomposition::default(),
+            components: SccGroups::default(),
+            results: Vec::new(),
+            dirty: Vec::new(),
+            scratch: HowardScratch::new(),
+            verdict: Verdict::Acyclic,
+        }
+    }
 }
 
 impl IncrementalAnalysis {
@@ -99,26 +113,18 @@ impl IncrementalAnalysis {
 
     /// [`new`](Self::new), but cooperatively cancellable: the per-SCC
     /// Howard solves poll `cancel` between policy-improvement rounds.
+    /// Traced as one `analysis` span with a `howard` child per solve.
     ///
     /// # Errors
     ///
     /// [`Cancelled`] when the token fired before the analysis finished.
     pub fn new_with_cancel(graph: &Tmg, cancel: Option<&CancelToken>) -> Result<Self, Cancelled> {
-        let mut state = IncrementalAnalysis {
-            rg: RatioGraph::default(),
-            scc: SccDecomposition {
-                component: Vec::new(),
-                count: 0,
-            },
-            components: SccGroups::default(),
-            results: Vec::new(),
-            dirty: Vec::new(),
-            deadlock: None,
-            has_cycle: false,
-            scratch: HowardScratch::new(),
-            verdict: Verdict::Acyclic,
-        };
-        state.rebuild(graph, cancel)?;
+        let _span = trace::span("analysis");
+        let mut state = IncrementalAnalysis::default();
+        state.resolve(graph, cancel)?;
+        if !state.verdict.is_deadlock() {
+            trace::attr("sccs", state.components.len());
+        }
         Ok(state)
     }
 
@@ -126,6 +132,12 @@ impl IncrementalAnalysis {
     #[must_use]
     pub fn verdict(&self) -> &Verdict {
         &self.verdict
+    }
+
+    /// Consumes the state, keeping only its verdict.
+    #[must_use]
+    pub fn into_verdict(self) -> Verdict {
+        self.verdict
     }
 
     /// Number of strongly connected components in the cached decomposition
@@ -167,7 +179,7 @@ impl IncrementalAnalysis {
             graph.place_count(),
             "reprice requires an unchanged graph structure"
         );
-        if self.deadlock.is_some() {
+        if self.verdict.is_deadlock() {
             // Deadlock depends on structure and tokens only; delay edits
             // cannot wake the system up, and no ratio state is cached.
             trace::attr("dirty", 0usize);
@@ -193,16 +205,32 @@ impl IncrementalAnalysis {
                 }
             }
         }
-        let resolved = self.solve_dirty(cancel)?;
+        let mut resolved = 0usize;
+        for i in 0..self.components.len() {
+            if self.dirty[i] {
+                self.results[i] = solve_component(
+                    &mut self.scratch,
+                    &self.rg,
+                    &self.scc,
+                    &self.components,
+                    i,
+                    cancel,
+                )?;
+                self.dirty[i] = false;
+                resolved += 1;
+            }
+        }
         trace::attr("dirty", resolved);
-        self.reduce(graph, cancel)?;
+        let best = best_cycle(&self.rg, &self.results, cancel)?;
+        self.verdict = cycle_verdict(graph, &self.rg, best);
         Ok(resolved)
     }
 
     /// Re-analyzes after a **structural** edit (e.g. a channel reorder):
     /// re-derives the deadlock witness, the ratio graph, and the SCC
     /// decomposition from `graph`, reusing cached Howard results for every
-    /// component whose members and internal edges are unchanged.
+    /// component whose members and internal edges are unchanged. Returns
+    /// the number of components solved.
     ///
     /// The new state is committed atomically: on cancellation the previous
     /// state is left untouched, and the caller must retry before trusting
@@ -217,57 +245,47 @@ impl IncrementalAnalysis {
         cancel: Option<&CancelToken>,
     ) -> Result<usize, Cancelled> {
         let _span = trace::span("rebuild");
+        let solved = self.resolve(graph, cancel)?;
+        trace::attr("reused", self.components.len() - solved);
+        Ok(solved)
+    }
+
+    /// The work of [`rebuild`](Self::rebuild), untraced: the first solve
+    /// of [`new_with_cancel`](Self::new_with_cancel) runs it too.
+    fn resolve(&mut self, graph: &Tmg, cancel: Option<&CancelToken>) -> Result<usize, Cancelled> {
         if let Some(witness) = find_token_free_cycle(graph) {
-            self.verdict = Verdict::Deadlock {
-                witness: witness.clone(),
+            // No ratio state is kept for a deadlocked graph; the ratio
+            // graph stays only so `reprice` can check the structure.
+            *self = IncrementalAnalysis {
+                rg: RatioGraph::from_tmg(graph),
+                scratch: std::mem::take(&mut self.scratch),
+                verdict: Verdict::Deadlock { witness },
+                ..IncrementalAnalysis::default()
             };
-            self.deadlock = Some(witness);
-            self.rg = RatioGraph::from_tmg(graph);
-            self.components = SccGroups::default();
-            self.results.clear();
-            self.dirty.clear();
-            self.scc = SccDecomposition {
-                component: vec![0; self.rg.node_count],
-                count: 0,
-            };
-            self.has_cycle = false;
-            trace::attr("reused", 0usize);
             return Ok(0);
         }
         let rg = RatioGraph::from_tmg(graph);
         let scc = tarjan(&rg);
         let components = scc.groups();
-        let has_cycle = find_any_cycle(&rg).is_some();
-
-        let mut results: Vec<Option<CycleRatioResult>> = Vec::with_capacity(components.len());
-        let mut reused = 0usize;
+        let mut results = Vec::with_capacity(components.len());
         let mut solved = 0usize;
         for i in 0..components.len() {
-            let members = components.group(i);
-            if let Some(old) = self.reusable_component(&rg, &scc, members) {
-                results.push(self.results[old].clone());
-                reused += 1;
-                continue;
-            }
-            let r = {
-                let _span = trace::span("howard");
-                trace::attr("scc", i);
-                trace::attr("nodes", members.len());
-                howard_on_component_with(&mut self.scratch, &rg, &scc, members, cancel)?
+            let outcome = match self.reusable_component(&rg, &scc, components.group(i)) {
+                Some(old) => self.results[old].clone(),
+                None => {
+                    solved += 1;
+                    solve_component(&mut self.scratch, &rg, &scc, &components, i, cancel)?
+                }
             };
-            results.push(r);
-            solved += 1;
+            results.push(outcome);
         }
-        trace::attr("reused", reused);
-
+        let best = best_cycle(&rg, &results, cancel)?;
+        self.verdict = cycle_verdict(graph, &rg, best);
+        self.dirty = vec![false; components.len()];
         self.rg = rg;
         self.scc = scc;
         self.components = components;
         self.results = results;
-        self.dirty = vec![false; self.components.len()];
-        self.deadlock = None;
-        self.has_cycle = has_cycle;
-        self.reduce(graph, cancel)?;
         Ok(solved)
     }
 
@@ -312,83 +330,57 @@ impl IncrementalAnalysis {
         }
         Some(old)
     }
+}
 
-    /// Re-solves every dirty component in component order, clearing each
-    /// flag only once its solve completed. Returns how many were solved.
-    fn solve_dirty(&mut self, cancel: Option<&CancelToken>) -> Result<usize, Cancelled> {
-        let mut solved = 0usize;
-        for i in 0..self.components.len() {
-            if !self.dirty[i] {
-                continue;
-            }
-            let r = {
-                let _span = trace::span("howard");
-                trace::attr("scc", i);
-                trace::attr("nodes", self.components.group(i).len());
-                howard_on_component_with(
-                    &mut self.scratch,
-                    &self.rg,
-                    &self.scc,
-                    self.components.group(i),
-                    cancel,
-                )?
-            };
-            self.results[i] = r;
-            self.dirty[i] = false;
-            solved += 1;
-        }
-        Ok(solved)
-    }
+/// One traced Howard solve of component `i`.
+fn solve_component(
+    scratch: &mut HowardScratch,
+    rg: &RatioGraph,
+    scc: &SccDecomposition,
+    components: &SccGroups,
+    i: usize,
+    cancel: Option<&CancelToken>,
+) -> Result<HowardOutcome, Cancelled> {
+    let _span = trace::span("howard");
+    trace::attr("scc", i);
+    let members = components.group(i);
+    trace::attr("nodes", members.len());
+    howard_on_component(scratch, rg, scc, members, cancel)
+}
 
-    /// Replays the one-shot analysis's reduction over the cached
-    /// per-component results — same component order, same strictly-greater
-    /// comparison, same parametric-fallback condition — and rebuilds the
-    /// verdict from the winning witness.
-    fn reduce(&mut self, graph: &Tmg, cancel: Option<&CancelToken>) -> Result<(), Cancelled> {
-        let mut best: Option<&CycleRatioResult> = None;
-        for r in self.results.iter().flatten() {
-            if best.is_none_or(|b| r.ratio > b.ratio) {
-                best = Some(r);
-            }
-        }
-        let mut owned_best: Option<CycleRatioResult> = best.cloned();
-        if owned_best.is_none() && self.has_cycle {
-            if let Some(token) = cancel {
-                token.check()?;
-            }
-            owned_best = max_cycle_ratio_parametric(&self.rg);
-        }
-        self.verdict = match owned_best {
-            None => Verdict::Acyclic,
-            Some(result) => {
-                let places: Vec<PlaceId> = result
-                    .cycle_edges
-                    .iter()
-                    .map(|&e| self.rg.edges[e].place.expect("edge lowered from a place"))
-                    .collect();
-                let transitions: Vec<TransitionId> =
-                    places.iter().map(|&p| graph.place(p).consumer()).collect();
-                let delay_sum = transitions
-                    .iter()
-                    .map(|&t| graph.transition(t).delay())
-                    .sum();
-                let token_sum = places
-                    .iter()
-                    .map(|&p| graph.place(p).initial_tokens())
-                    .sum();
-                Verdict::Live {
-                    cycle_time: result.ratio,
-                    critical: crate::CriticalCycle {
-                        places,
-                        transitions,
-                        delay_sum,
-                        token_sum,
-                    },
+/// Reduces per-component outcomes to the graph's maximum-ratio cycle:
+/// the first strictly greatest ratio in component order, or — when any
+/// component hit Howard's round cap, so its ratio is unknown — the
+/// parametric solver's answer over the whole graph. `None` means `rg`
+/// has no cycle.
+///
+/// # Errors
+///
+/// [`Cancelled`] when `cancel` fired before the (uncancellable)
+/// parametric fallback would start.
+fn best_cycle(
+    rg: &RatioGraph,
+    outcomes: &[HowardOutcome],
+    cancel: Option<&CancelToken>,
+) -> Result<Option<CycleRatioResult>, Cancelled> {
+    let mut best: Option<&CycleRatioResult> = None;
+    for outcome in outcomes {
+        match outcome {
+            HowardOutcome::NoCycle => {}
+            HowardOutcome::Converged(r) => {
+                if best.is_none_or(|b| r.ratio > b.ratio) {
+                    best = Some(r);
                 }
             }
-        };
-        Ok(())
+            HowardOutcome::Capped => {
+                if let Some(token) = cancel {
+                    token.check()?;
+                }
+                return Ok(max_cycle_ratio_parametric(rg));
+            }
+        }
     }
+    Ok(best.cloned())
 }
 
 #[cfg(test)]
@@ -522,5 +514,46 @@ mod tests {
         inc.reprice(&g, &[ts[1]], None).expect("not cancelled");
         assert_eq!(inc.verdict().cycle_time(), Some(Ratio::new(7, 2)));
         assert_eq!(inc.verdict(), &analyze(&g));
+    }
+
+    #[test]
+    fn a_capped_component_falls_back_to_the_parametric_maximum() {
+        // Two disjoint rings: ratio 10/1 on {0, 1} and 3/1 on {2, 3}.
+        let mut rg = RatioGraph::with_nodes(4);
+        rg.add_edge(0, 1, 4, 1, None);
+        rg.add_edge(1, 0, 6, 0, None);
+        rg.add_edge(2, 3, 1, 1, None);
+        rg.add_edge(3, 2, 2, 0, None);
+        let scc = tarjan(&rg);
+        let groups = scc.groups();
+        let mut scratch = HowardScratch::new();
+        let mut outcomes: Vec<HowardOutcome> = (0..groups.len())
+            .map(|c| {
+                howard_on_component(&mut scratch, &rg, &scc, groups.group(c), None)
+                    .expect("not cancelled")
+            })
+            .collect();
+        let parametric = max_cycle_ratio_parametric(&rg).expect("cyclic");
+        assert_eq!(parametric.ratio, Ratio::new(10, 1));
+        let converged = best_cycle(&rg, &outcomes, None).expect("not cancelled");
+        assert_eq!(converged.map(|r| r.ratio), Some(Ratio::new(10, 1)));
+
+        // The heavier ring hits the round cap while the lighter one
+        // converges: the reduction must not settle for the lighter ratio.
+        let heavy = outcomes
+            .iter()
+            .position(|o| matches!(o, HowardOutcome::Converged(r) if r.ratio == Ratio::new(10, 1)))
+            .expect("heavy ring converged");
+        outcomes[heavy] = HowardOutcome::Capped;
+        let fallback = best_cycle(&rg, &outcomes, None).expect("not cancelled");
+        assert_eq!(fallback, Some(parametric.clone()));
+        outcomes.reverse();
+        let fallback = best_cycle(&rg, &outcomes, None).expect("not cancelled");
+        assert_eq!(fallback, Some(parametric));
+
+        // A fired token stops the reduction before the fallback starts.
+        let token = parx::CancelToken::new();
+        token.cancel(parx::CancelReason::Deadline);
+        assert!(best_cycle(&rg, &outcomes, Some(&token)).is_err());
     }
 }

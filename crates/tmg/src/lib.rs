@@ -18,8 +18,13 @@
 //!   time with a critical-cycle witness, via **Howard's policy-iteration
 //!   algorithm** — the method the paper adopts — with exact rational
 //!   arithmetic ([`Ratio`]).
-//! - [`analyze_parametric`]: an independent Lawler-style solver used for
-//!   cross-validation.
+//! - [`IncrementalAnalysis`]: the one solver driver behind [`analyze`],
+//!   kept alive across delay and structural edits so that only the
+//!   strongly connected components an edit touches are re-solved, and
+//!   cooperatively cancellable.
+//! - [`analyze_parametric`]: an independent Lawler-style solver, Howard's
+//!   fallback when a component hits the policy-iteration round cap and
+//!   the oracle the property tests check Howard against.
 //! - [`simulate`]: the earliest-firing-time execution the analytic model
 //!   replaces, for validating π(G) empirically.
 //!
@@ -52,6 +57,7 @@
 #![warn(missing_docs)]
 
 mod analysis;
+#[cfg(test)]
 mod cycles;
 mod deadlock;
 mod dot;
@@ -60,16 +66,13 @@ mod graph;
 mod howard;
 mod ids;
 mod incremental;
-mod karp;
 mod parametric;
 mod ratio;
 mod ratio_graph;
 mod scc;
 mod sim;
 
-pub use analysis::{
-    analyze, analyze_parametric, analyze_with_cancel, analyze_with_jobs, CriticalCycle, Verdict,
-};
+pub use analysis::{analyze, analyze_parametric, CriticalCycle, Verdict};
 pub use deadlock::find_token_free_cycle;
 pub use dot::to_dot;
 pub use error::TmgError;
@@ -81,11 +84,10 @@ pub use sim::{simulate, SimulationOutcome};
 
 #[cfg(test)]
 mod oracle_tests {
-    //! Cross-validation of the three solvers against the brute-force
+    //! Cross-validation of the two solvers against the brute-force
     //! cycle-enumeration oracle on a deterministic family of graphs.
     use crate::cycles::{max_cycle_ratio_brute, BruteForceOutcome};
-    use crate::howard::howard_on_component;
-    use crate::karp::max_cycle_mean_karp;
+    use crate::howard::{howard_on_component, HowardOutcome, HowardScratch};
     use crate::parametric::{find_any_cycle, max_cycle_ratio_parametric};
     use crate::ratio::Ratio;
     use crate::ratio_graph::RatioGraph;
@@ -94,14 +96,17 @@ mod oracle_tests {
     fn howard_max(g: &RatioGraph) -> Option<Ratio> {
         let scc = tarjan(g);
         let groups = scc.groups();
+        let mut scratch = HowardScratch::new();
         let mut best: Option<Ratio> = None;
         for c in 0..groups.len() {
-            if let Some(r) =
-                howard_on_component(g, &scc, groups.group(c), None).expect("not cancelled")
-            {
-                if best.is_none_or(|b| r.ratio > b) {
-                    best = Some(r.ratio);
+            match howard_on_component(&mut scratch, g, &scc, groups.group(c), None) {
+                Ok(HowardOutcome::Converged(r)) => {
+                    if best.is_none_or(|b| r.ratio > b) {
+                        best = Some(r.ratio);
+                    }
                 }
+                Ok(HowardOutcome::NoCycle) => {}
+                other => panic!("component {c}: {other:?}"),
             }
         }
         best
@@ -166,25 +171,5 @@ mod oracle_tests {
             live > 50,
             "oracle family too degenerate: {live} live graphs"
         );
-    }
-
-    #[test]
-    fn karp_matches_oracle_on_unit_token_graphs() {
-        for seed in 1..120u64 {
-            let mut g = random_graph(
-                seed.wrapping_mul(977),
-                2 + (seed % 5) as usize,
-                3 + (seed % 7) as usize,
-            );
-            for e in &mut g.edges {
-                e.tokens = 1;
-            }
-            let brute = match max_cycle_ratio_brute(&g) {
-                BruteForceOutcome::Finite(r) => Some(r.ratio),
-                BruteForceOutcome::Acyclic => None,
-                BruteForceOutcome::ZeroTokenCycle(_) => unreachable!("all tokens are 1"),
-            };
-            assert_eq!(max_cycle_mean_karp(&g), brute, "seed {seed}");
-        }
     }
 }

@@ -8,7 +8,7 @@ use crate::ratio_graph::RatioGraph;
 
 /// Result of an SCC decomposition: `component[v]` is the component index of
 /// vertex `v`; components are numbered in reverse topological order.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct SccDecomposition {
     pub component: Vec<usize>,
     pub count: usize,

@@ -6,31 +6,97 @@
 //! actually achieves — the claim at the heart of the paper's Section 3.
 
 use proptest::prelude::*;
-use tmg::{analyze, analyze_parametric, find_token_free_cycle, simulate, Tmg, TmgBuilder, Verdict};
+use tmg::{
+    analyze, analyze_parametric, find_token_free_cycle, simulate, IncrementalAnalysis, Tmg,
+    TmgBuilder, TransitionId, Verdict,
+};
+
+/// One ring component: `n` transitions in a ring whose places carry
+/// `tokens` (at least one on the first, so the base cycle is live),
+/// plus chord places `(from, to, tokens)` between ring positions.
+#[derive(Debug, Clone)]
+struct Ring {
+    n: usize,
+    tokens: Vec<u64>,
+    chords: Vec<(usize, usize, u64)>,
+}
+
+/// Rings with one token, on the first place, whose chords carry
+/// `min_tokens..3` tokens. Token-free chords often close token-free
+/// cycles, so `min_tokens = 1` keeps a ring live.
+fn arb_ring(min_tokens: u64) -> impl Strategy<Value = Ring> {
+    (
+        2usize..8,
+        proptest::collection::vec((0usize..8, 0usize..8, 0u64..6, min_tokens..3), 0..10),
+    )
+        .prop_map(|(n, chords)| Ring {
+            n,
+            tokens: (0..n).map(|i| u64::from(i == 0)).collect(),
+            chords: chords
+                .into_iter()
+                .map(|(a, c, _delay, tokens)| (a % n, c % n, tokens))
+                .collect(),
+        })
+}
+
+/// Live rings whose places carry up to three tokens each: with tokens
+/// spread around the ring, a chord's shortcut can be the critical cycle.
+fn arb_loaded_ring() -> impl Strategy<Value = Ring> {
+    (arb_ring(1), proptest::collection::vec(0u64..4, 8usize)).prop_map(|(mut ring, extra)| {
+        for (i, tokens) in ring.tokens.iter_mut().enumerate() {
+            *tokens = extra[i].max(u64::from(i == 0));
+        }
+        ring
+    })
+}
+
+/// Builds `rings` side by side (transitions numbered ring by ring, with
+/// the given `delays`) plus `bridges`: places from ring `k` to a later
+/// ring, which never close a cycle, so each ring stays its own strongly
+/// connected component.
+fn build(rings: &[Ring], bridges: &[(usize, usize, usize, usize)], delays: &[u64]) -> Tmg {
+    let mut b = TmgBuilder::new();
+    let mut firsts = Vec::with_capacity(rings.len());
+    let mut first = 0;
+    for ring in rings {
+        let ts: Vec<_> = (0..ring.n)
+            .map(|i| b.add_transition(format!("t{}", first + i), delays[first + i]))
+            .collect();
+        for i in 0..ring.n {
+            b.add_place(ts[i], ts[(i + 1) % ring.n], ring.tokens[i]);
+        }
+        for &(a, c, tokens) in &ring.chords {
+            b.add_place(ts[a], ts[c], tokens);
+        }
+        firsts.push(first);
+        first += ring.n;
+    }
+    for &(k, i, later, j) in bridges {
+        let (k, later) = (k % rings.len(), later % rings.len());
+        if k < later {
+            let from = TransitionId::from_index(firsts[k] + i % rings[k].n);
+            let to = TransitionId::from_index(firsts[later] + j % rings[later].n);
+            b.add_place(from, to, 1);
+        }
+    }
+    b.build().expect("non-empty")
+}
+
+/// The delays `arb_ring_tmg` gives a ring's transitions.
+fn ring_delays(rings: &[Ring]) -> Vec<u64> {
+    rings
+        .iter()
+        .flat_map(|ring| (0..ring.n).map(|i| (i as u64 % 5) + 1))
+        .collect()
+}
 
 /// Strategy: a random TMG built as a ring (guaranteeing strong
 /// connectivity and at least one cycle) plus random chord places.
 fn arb_ring_tmg() -> impl Strategy<Value = Tmg> {
-    (
-        2usize..8,
-        proptest::collection::vec((0usize..8, 0usize..8, 0u64..6, 0u64..3), 0..10),
-    )
-        .prop_map(|(n, chords)| {
-            let mut b = TmgBuilder::new();
-            let ts: Vec<_> = (0..n)
-                .map(|i| b.add_transition(format!("t{i}"), (i as u64 % 5) + 1))
-                .collect();
-            for i in 0..n {
-                // One token on the ring so the base cycle is live.
-                b.add_place(ts[i], ts[(i + 1) % n], u64::from(i == 0));
-            }
-            for (a, c, _delay, tokens) in chords {
-                let a = a % n;
-                let c = c % n;
-                b.add_place(ts[a], ts[c], tokens);
-            }
-            b.build().expect("non-empty")
-        })
+    arb_ring(0).prop_map(|ring| {
+        let rings = [ring];
+        build(&rings, &[], &ring_delays(&rings))
+    })
 }
 
 proptest! {
@@ -119,6 +185,54 @@ proptest! {
         // (no deadlock can appear in a live marked graph).
         if !before.is_deadlock() {
             prop_assert!(marking.enabled(&g).next().is_some());
+        }
+    }
+
+    /// The one engine on multi-component graphs: random delay edits
+    /// (`reprice`) and chord re-wirings (`rebuild`) keep its verdict equal
+    /// to a fresh `analyze` and its cycle time equal to the independent
+    /// parametric solver's, so reusing clean components never shows. The
+    /// rings start live; a re-wiring may add a token-free chord, which
+    /// can deadlock the graph until a later re-wiring replaces it.
+    #[test]
+    fn incremental_engine_matches_fresh_and_parametric_across_components(
+        rings in proptest::collection::vec(arb_loaded_ring(), 2..5),
+        bridges in proptest::collection::vec((0usize..4, 0usize..8, 0usize..4, 0usize..8), 0..4),
+        edits in proptest::collection::vec((0u8..3, 0usize..64, 0usize..64, 0usize..64, 0u64..20), 1..12),
+    ) {
+        let mut rings = rings;
+        let mut delays = ring_delays(&rings);
+        let mut g = build(&rings, &bridges, &delays);
+        let mut inc = IncrementalAnalysis::new(&g);
+        for (step, &(kind, x, y, z, value)) in edits.iter().enumerate() {
+            if kind < 2 {
+                let t = TransitionId::from_index(x % delays.len());
+                delays[t.index()] = value;
+                g.set_transition_delay(t, value);
+                inc.reprice(&g, &[t], None).expect("not cancelled");
+            } else {
+                let k = x % rings.len();
+                let ring = &mut rings[k];
+                let chord = (z % ring.n, (z / ring.n) % ring.n, value % 3);
+                if ring.chords.is_empty() {
+                    ring.chords.push(chord);
+                } else {
+                    let j = y % ring.chords.len();
+                    ring.chords[j] = chord;
+                }
+                g = build(&rings, &bridges, &delays);
+                inc.rebuild(&g, None).expect("not cancelled");
+            }
+            let fresh = analyze(&g);
+            prop_assert_eq!(inc.verdict(), &fresh, "step {}", step);
+            prop_assert_eq!(
+                inc.verdict().cycle_time(),
+                analyze_parametric(&g).cycle_time(),
+                "step {}", step
+            );
+            if !fresh.is_deadlock() {
+                prop_assert_eq!(inc.component_count(), rings.len(), "step {}", step);
+            }
         }
     }
 }
