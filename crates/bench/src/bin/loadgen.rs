@@ -27,7 +27,7 @@
 //! a default fault plan unless the environment already set one.
 
 use ermesd::{Server, ServerConfig, SystemSpec};
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -120,7 +120,11 @@ fn build_workload() -> Vec<WorkItem> {
     ]
 }
 
-/// Sends one keep-alive POST and reads the full response.
+/// Sends one keep-alive POST and reads the full response. The request
+/// line is written here because [`ermesd::http::write_request`] always
+/// closes the connection; the response goes through the coordinator's
+/// own reader, which reports a truncated (possibly fault-injected
+/// short-write) response as a transport error.
 fn post(
     writer: &mut TcpStream,
     reader: &mut BufReader<TcpStream>,
@@ -133,41 +137,10 @@ fn post(
         body.len()
     )?;
     writer.flush()?;
-    let mut status_line = String::new();
-    if reader.read_line(&mut status_line)? == 0 {
-        return Err(std::io::Error::other("connection closed before response"));
-    }
-    let status: u16 = status_line
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| std::io::Error::other(format!("bad status line `{status_line}`")))?;
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        // EOF before the blank header terminator is a truncated (possibly
-        // fault-injected short-write) response: a transport error, never a
-        // complete-looking success.
-        if reader.read_line(&mut line)? == 0 {
-            return Err(std::io::Error::other("connection closed mid-headers"));
-        }
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
-            content_length = v
-                .trim()
-                .parse()
-                .map_err(|_| std::io::Error::other("bad content-length"))?;
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
-    Ok((
-        status,
-        String::from_utf8(body).map_err(|_| std::io::Error::other("non-UTF-8 body"))?,
-    ))
+    let response = ermesd::http::read_response(reader, bench::fleet::MAX_RESPONSE)?;
+    let body =
+        String::from_utf8(response.body).map_err(|_| std::io::Error::other("non-UTF-8 body"))?;
+    Ok((response.status, body))
 }
 
 /// Per-phase outcome of one connection. Latencies carry the workload
@@ -388,38 +361,10 @@ fn print_endpoint_histograms(items: &[WorkItem], stats: &[ConnStats]) {
     }
 }
 
-/// Sends one keep-alive GET and reads the full response body.
+/// One GET on its own connection; the response body as text.
 fn get(addr: &str, path: &str) -> std::io::Result<String> {
-    let (mut writer, mut reader) = connect(addr)?;
-    write!(
-        writer,
-        "GET {path} HTTP/1.1\r\ncontent-length: 0\r\nconnection: close\r\n\r\n"
-    )?;
-    writer.flush()?;
-    let mut status_line = String::new();
-    if reader.read_line(&mut status_line)? == 0 {
-        return Err(std::io::Error::other("connection closed before response"));
-    }
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(std::io::Error::other("connection closed mid-headers"));
-        }
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
-            content_length = v
-                .trim()
-                .parse()
-                .map_err(|_| std::io::Error::other("bad content-length"))?;
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
-    String::from_utf8(body).map_err(|_| std::io::Error::other("non-UTF-8 body"))
+    let response = bench::fleet::exchange(addr, "GET", path, b"")?;
+    String::from_utf8(response.body).map_err(|_| std::io::Error::other("non-UTF-8 body"))
 }
 
 /// Scrapes `/metrics` and prints the engine's per-phase time split
@@ -665,12 +610,9 @@ fn main() {
     print_phase_report(&addr);
 
     if let Some(handle) = server_thread {
-        let mut stream = TcpStream::connect(&addr).expect("server alive");
-        stream
-            .write_all(b"POST /shutdown HTTP/1.1\r\ncontent-length: 0\r\nconnection: close\r\n\r\n")
-            .expect("shutdown request");
-        let mut drain = String::new();
-        let _ = stream.read_to_string(&mut drain);
+        // Under chaos the shutdown reply itself may be cut short; the
+        // drain still happens, and the join below is the assertion.
+        let _ = bench::fleet::exchange(&addr, "POST", "/shutdown", b"");
         handle
             .join()
             .expect("server thread")

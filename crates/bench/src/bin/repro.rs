@@ -5,13 +5,17 @@
 //! ```
 //!
 //! Ids: `fig2`, `fig2b`, `fig3`, `fig4`, `orders`, `table1`, `m1`,
-//! `fig6-timing`, `fig6-area`, `scalability`, `scale`, `phases`,
-//! `incremental`, `verify`, `cluster`, `tracecluster`, `pipeline`, or
-//! `all` (default). `--jobs` sets the worker-thread count of the parallel
-//! part of E9 (`0` = all hardware threads, the default). See
-//! EXPERIMENTS.md for the paper-versus-measured record.
+//! `fig6-timing`, `fig6-area`, `scale`, `phases`, `incremental`,
+//! `verify`, `cluster`, `tracecluster`, `pipeline`, `ablation`, `sweep`,
+//! or `all` (default). `--jobs` sets the worker-thread count of the
+//! memoized sweeps of E13 and E19 (`0` = all hardware threads, the
+//! default). The ladders write their `BENCH_*.json` reports (one shape,
+//! [`bench::report`]) to the working directory. See EXPERIMENTS.md for
+//! the paper-versus-measured record.
 
 use bench::experiments;
+use bench::fleet::{request, Daemon, Fleet};
+use bench::report::{Report, Row};
 use ermes::StepAction;
 
 fn banner(title: &str) {
@@ -248,157 +252,111 @@ fn run_ablation() {
     );
 }
 
-fn run_scalability(jobs: usize) {
-    banner("E9 — scalability on synthetic SoCs (feedback + reconvergence)");
-    println!("processes  channels  ordering[ms]  analysis[ms]  exploration[ms]");
-    for row in experiments::scalability(&[100, 500, 1_000, 5_000, 10_000]) {
-        println!(
-            "{:>9}  {:>8}  {:>12.1}  {:>12.1}  {:>15.1}",
-            row.processes, row.channels, row.ordering_ms, row.analysis_ms, row.exploration_ms
-        );
-    }
-    println!("(paper: \"a few minutes in the worst cases\" at 10,000/15,000)");
+/// Longest the paper's §6 flow may take on any rung of E19 (the 10k rung
+/// is the binding one): the paper reports "a few minutes in the worst
+/// cases" at 10,000 processes.
+const FLOW_BUDGET_S: f64 = 120.0;
 
-    println!("\nmulti-target Pareto sweep, seed engine vs memoized engine (12-target ladder):");
-    println!(
-        "processes  channels  jobs  seed[ms]  cold[ms]  warm[ms]  cold-spd  warm-spd  identical  cache-hit"
-    );
-    for row in experiments::parallel_sweep(&[250, 1_000, 5_000], jobs) {
-        println!(
-            "{:>9}  {:>8}  {:>4}  {:>8.1}  {:>8.1}  {:>8.1}  {:>7.2}x  {:>7.2}x  {:>9}  {:>8.0}%",
-            row.processes,
-            row.channels,
-            row.jobs,
-            row.serial_ms,
-            row.parallel_ms,
-            row.resweep_ms,
-            row.speedup,
-            row.resweep_speedup,
-            if row.identical { "yes" } else { "NO" },
-            row.analysis_hit_rate * 100.0,
-        );
-    }
-    println!("(seed = serial, unmemoized; cold = shared cache, first sweep; warm = re-sweep");
-    println!(" against the filled cache, the iterative-DSE case; fronts compared with exact");
-    println!(" Ratio equality; hit-rate is the analysis cache over both engine runs)");
-}
-
-fn scale_json(jobs: usize, baseline_cap: usize, rows: &[experiments::ScaleRow]) -> String {
-    fn opt(v: Option<f64>) -> String {
-        v.map_or_else(|| "null".to_string(), |v| format!("{v:.3}"))
-    }
-    let mut out = String::from("{\n  \"experiment\": \"E19\",\n");
-    out.push_str(&format!("  \"jobs\": {},\n", parx::resolve_jobs(jobs)));
-    out.push_str(&format!("  \"baseline_cap\": {baseline_cap},\n"));
-    out.push_str("  \"rows\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"processes\": {},\n", row.processes));
-        out.push_str(&format!("      \"channels\": {},\n", row.channels));
-        out.push_str(&format!("      \"ordering_ms\": {:.3},\n", row.ordering_ms));
-        out.push_str(&format!("      \"analysis_ms\": {:.3},\n", row.analysis_ms));
-        out.push_str(&format!(
-            "      \"baseline_ms\": {},\n",
-            opt(row.baseline_ms)
-        ));
-        out.push_str(&format!("      \"cold_ms\": {:.3},\n", row.cold_ms));
-        out.push_str(&format!("      \"warm_ms\": {:.3},\n", row.warm_ms));
-        out.push_str(&format!(
-            "      \"cold_speedup\": {},\n",
-            opt(row.cold_speedup)
-        ));
-        out.push_str(&format!(
-            "      \"warm_speedup\": {},\n",
-            opt(row.warm_speedup)
-        ));
-        out.push_str(&format!("      \"identical\": {},\n", row.identical));
-        out.push_str(&format!("      \"peak_rss_mb\": {:.1},\n", row.peak_rss_mb));
-        out.push_str(&format!("      \"rss_mb\": {:.1}\n", row.rss_mb));
-        out.push_str(if i + 1 == rows.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// E19: the paper's 10k-process benchmark as a first-class perf ladder
-/// (soc:1k → soc:10k). Each rung runs ordering, analysis, and the
-/// 12-target Pareto sweep cold and warm; the seed-engine baseline
-/// (serial, unmemoized) runs on the rungs below `BASELINE_CAP` so the
-/// speedup is measured in the same run it gates.
+/// E19 (and E9's scale claim): the paper's 10,000-process benchmark as a
+/// perf ladder, soc:100 → soc:10k. Each rung runs the §6 flow (generate,
+/// order, lower + Howard, greedy exploration) under [`FLOW_BUDGET_S`],
+/// re-checks the analysis bit for bit, and sweeps the 12-target ladder
+/// seed / cold / warm; the seed stage runs on the rungs up to
+/// `BASELINE_CAP` so the speedup is measured in the same run it gates.
 fn run_scale(jobs: usize) {
-    banner("E19 — flat-graph scale ladder: soc:1k → soc:10k, cold + warm sweep, peak RSS");
+    banner("E19 — scale ladder: soc:100 → soc:10k, §6 flow, seed/cold/warm sweep, peak RSS");
     const BASELINE_CAP: usize = 2_500;
-    let sizes = [1_000, 2_500, 5_000, 10_000];
+    let sizes = [100, 500, 1_000, 2_500, 5_000, 10_000];
     let rows = experiments::scale_ladder(&sizes, jobs, BASELINE_CAP);
     println!(
-        "processes  channels  order[ms]  howard[ms]  seed[ms]  cold[ms]  warm[ms]  cold-spd  warm-spd  identical  peakRSS[MiB]"
+        "processes  channels  order[ms]  howard[ms]  explore[ms]  flow[s]  seed[ms]  cold[ms]  warm[ms]  cold-spd  warm-spd  identical  hit  peakRSS[MiB]"
+    );
+    let fmt_opt = |v: Option<f64>, w: usize, suffix: &str| {
+        v.map_or_else(
+            || format!("{:>w$}", "-", w = w + suffix.len()),
+            |v| format!("{v:>w$.1}{suffix}"),
+        )
+    };
+    let mut report = Report::new(
+        "E19",
+        Row::new()
+            .with("jobs", parx::resolve_jobs(jobs))
+            .with("baseline_cap", BASELINE_CAP)
+            .with("flow_budget_s", FLOW_BUDGET_S)
+            .with("sizes", &sizes[..]),
     );
     for row in &rows {
-        let fmt_opt = |v: Option<f64>, w: usize, suffix: &str| {
-            v.map_or_else(
-                || format!("{:>w$}", "-", w = w + suffix.len()),
-                |v| format!("{v:>w$.1}{suffix}"),
-            )
-        };
         println!(
-            "{:>9}  {:>8}  {:>9.1}  {:>10.1}  {}  {:>8.1}  {:>8.1}  {} {}  {:>9}  {:>12.1}",
+            "{:>9}  {:>8}  {:>9.1}  {:>10.1}  {:>11.1}  {:>7.2}  {}  {:>8.1}  {:>8.1}  {} {}  {:>9}  {:>3.0}%  {:>12.1}",
             row.processes,
             row.channels,
             row.ordering_ms,
             row.analysis_ms,
+            row.explore_ms,
+            row.flow_s(),
             fmt_opt(row.baseline_ms, 8, ""),
             row.cold_ms,
             row.warm_ms,
             fmt_opt(row.cold_speedup, 7, "x"),
             fmt_opt(row.warm_speedup, 7, "x"),
-            if row.identical { "yes" } else { "NO" },
+            if row.identical && row.reanalysis_identical {
+                "yes"
+            } else {
+                "NO"
+            },
+            row.analysis_hit_rate * 100.0,
             row.peak_rss_mb,
         );
+        report.push(
+            Row::new()
+                .with("processes", row.processes)
+                .with("channels", row.channels)
+                .with("generate_ms", row.generate_ms)
+                .with("ordering_ms", row.ordering_ms)
+                .with("analysis_ms", row.analysis_ms)
+                .with("explore_ms", row.explore_ms)
+                .with("flow_s", row.flow_s())
+                .with("targets", row.targets)
+                .with("baseline_ms", row.baseline_ms)
+                .with("cold_ms", row.cold_ms)
+                .with("warm_ms", row.warm_ms)
+                .with("cold_speedup", row.cold_speedup)
+                .with("warm_speedup", row.warm_speedup)
+                .with("identical", row.identical)
+                .with("reanalysis_identical", row.reanalysis_identical)
+                .with("analysis_hit_rate", row.analysis_hit_rate)
+                .with("peak_rss_mb", row.peak_rss_mb)
+                .with("rss_mb", row.rss_mb),
+        );
     }
-    assert!(
-        rows.iter().all(|r| r.identical),
-        "every sweep pair must produce exactly equal fronts"
-    );
-    let json = scale_json(jobs, BASELINE_CAP, &rows);
-    match std::fs::write("BENCH_scale.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_scale.json"),
-        Err(e) => eprintln!("\ncould not write BENCH_scale.json: {e}"),
+    report.write("BENCH_scale.json");
+    for row in &rows {
+        assert!(
+            row.identical,
+            "every sweep pair must produce exactly equal fronts ({} processes)",
+            row.processes
+        );
+        assert!(
+            row.reanalysis_identical,
+            "a re-analysis must equal the first to the bit ({} processes)",
+            row.processes
+        );
+        assert!(
+            row.flow_s() < FLOW_BUDGET_S,
+            "the §6 flow at {} processes took {:.1} s of its {FLOW_BUDGET_S:.0} s budget",
+            row.processes,
+            row.flow_s()
+        );
     }
-    println!("\n(seed = the pre-memoization engine: serial, one independent exploration per");
-    println!(" target, skipped above {BASELINE_CAP} processes to bound ladder wall time; cold");
-    println!(" = memoized engine on a fresh shared cache; warm = the same ladder replayed");
-    println!(" against the filled cache. Peak RSS is VmHWM after the rung — sizes ascend,");
-    println!(" so each value is the high-water mark that rung's working set pushed)");
-}
-
-/// Hand-rolled JSON for E13's machine-readable record: no serde in the
-/// workspace, and the schema is five flat fields per stage.
-fn phases_json(targets: &[u64], jobs: usize, rows: &[experiments::PhaseBreakdownRow]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"E13\",\n");
-    let targets: Vec<String> = targets.iter().map(ToString::to_string).collect();
-    out.push_str(&format!("  \"targets\": [{}],\n", targets.join(", ")));
-    out.push_str(&format!("  \"jobs\": {},\n", parx::resolve_jobs(jobs)));
-    out.push_str("  \"stages\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"stage\": \"{}\",\n", row.stage));
-        out.push_str(&format!("      \"wall_ms\": {:.3},\n", row.wall_ms));
-        out.push_str(&format!("      \"ilp_ms\": {:.3},\n", row.phase_ms("ilp")));
-        out.push_str(&format!("      \"ilp_solves\": {},\n", row.ilp.solves));
-        out.push_str(&format!("      \"ilp_nodes\": {}\n", row.ilp.nodes));
-        out.push_str(if i + 1 == rows.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    out.push_str("  ]\n}\n");
-    out
+    println!("\n(paper: \"a few minutes in the worst cases\" at 10,000/15,000; flow = generate +");
+    println!(" order + lower/Howard + greedy exploration toward 0.7x the cycle time in at most");
+    println!(" 4 iterations. seed = the pre-memoization engine: serial, one independent");
+    println!(" exploration per target, skipped above {BASELINE_CAP} processes to bound the");
+    println!(" ladder's wall time; cold = memoized engine on a fresh shared cache; warm = the");
+    println!(" same ladder replayed against the filled cache, hit = its analysis-cache hit");
+    println!(" rate. identical = every front pair equal and a second analysis bit-identical");
+    println!(" to the first. Peak RSS is VmHWM after the rung — sizes ascend, so each value");
+    println!(" is the high-water mark that rung's working set pushed)");
 }
 
 fn run_phases(jobs: usize) {
@@ -406,6 +364,13 @@ fn run_phases(jobs: usize) {
     let targets = [900_000, 1_200_000, 1_500_000, 1_800_000, 2_400_000];
     println!("targets: {targets:?}, jobs: {}", parx::resolve_jobs(jobs));
     let rows = experiments::phase_breakdown(&targets, jobs);
+    let mut report = Report::new(
+        "E13",
+        Row::new()
+            .with("system", "mpeg2")
+            .with("targets", &targets[..])
+            .with("jobs", parx::resolve_jobs(jobs)),
+    );
     for row in &rows {
         println!("\n{} stage — wall {:.1} ms", row.stage, row.wall_ms);
         println!("  phase            count     total[ms]    % of wall");
@@ -419,27 +384,21 @@ fn run_phases(jobs: usize) {
             "  ilp solver: {} solves, {} nodes",
             row.ilp.solves, row.ilp.nodes
         );
+        report.push(
+            Row::new()
+                .with("stage", row.stage)
+                .with("wall_ms", row.wall_ms)
+                .with("ilp_ms", row.phase_ms("ilp"))
+                .with("ilp_solves", row.ilp.solves)
+                .with("ilp_nodes", row.ilp.nodes),
+        );
     }
-    let json = phases_json(&targets, jobs, &rows);
-    match std::fs::write("BENCH_ilp.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_ilp.json (solver wall time + counters per stage)"),
-        Err(e) => eprintln!("\ncould not write BENCH_ilp.json: {e}"),
-    }
+    report.write("BENCH_ilp.json");
     println!("\n(phases nest — howard inside analysis inside a cache probe — and with");
     println!(" jobs > 1 they accumulate across workers, so columns are not additive and");
     println!(" can exceed wall time; the warm stage shows the cache absorbing analysis");
     println!(" and chanorder into sub-millisecond probes, leaving ILP as the one phase");
     println!(" the memo cannot remove)");
-}
-
-fn incremental_json(r: &experiments::IncrementalResult) -> String {
-    format!(
-        "{{\n  \"experiment\": \"E15\",\n  \"system\": \"mpeg2\",\n  \
-         \"full_reanalysis_us\": {:.3},\n  \"per_edit_us\": {:.3},\n  \
-         \"render_us\": {:.3},\n  \"speedup\": {:.1},\n  \"batches\": {},\n  \
-         \"full_iters_per_batch\": {},\n  \"edit_iters_per_batch\": {}\n}}\n",
-        r.full_us, r.per_edit_us, r.render_us, r.speedup, r.batches, r.full_iters, r.edit_iters
-    )
 }
 
 fn run_incremental() {
@@ -462,11 +421,22 @@ fn run_incremental() {
         "speedup              : {:>9.1} x  (acceptance bar: 50x)",
         r.speedup
     );
-    let json = incremental_json(&r);
-    match std::fs::write("BENCH_incremental.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_incremental.json"),
-        Err(e) => eprintln!("\ncould not write BENCH_incremental.json: {e}"),
-    }
+    let mut report = Report::new(
+        "E15",
+        Row::new()
+            .with("system", "mpeg2")
+            .with("batches", r.batches)
+            .with("full_iters_per_batch", r.full_iters)
+            .with("edit_iters_per_batch", r.edit_iters),
+    );
+    report.push(
+        Row::new()
+            .with("full_reanalysis_us", r.full_us)
+            .with("per_edit_us", r.per_edit_us)
+            .with("render_us", r.render_us)
+            .with("speedup", r.speedup),
+    );
+    report.write("BENCH_incremental.json");
     println!(
         "\n(each figure is a median over {} batches — {} stateless / {} edit iterations",
         r.batches, r.full_iters, r.edit_iters
@@ -476,41 +446,14 @@ fn run_incremental() {
     println!(" is a floor: a cold or evicted cache would widen it)");
 }
 
-fn verify_json(sizes: &[usize], rows: &[experiments::VerifyRow]) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"E16\",\n");
-    out.push_str(&format!("  \"sizes\": {sizes:?},\n"));
-    out.push_str("  \"rows\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"processes\": {},\n", row.processes));
-        out.push_str(&format!("      \"channels\": {},\n", row.channels));
-        out.push_str(&format!("      \"components\": {},\n", row.components));
-        out.push_str(&format!("      \"method\": \"{}\",\n", row.method));
-        out.push_str(&format!("      \"states\": {},\n", row.states));
-        out.push_str(&format!("      \"events\": {},\n", row.events));
-        out.push_str(&format!("      \"verify_ms\": {:.3},\n", row.verify_ms));
-        out.push_str(&format!("      \"howard_ms\": {:.3},\n", row.howard_ms));
-        out.push_str(&format!(
-            "      \"bits_identical\": {}\n",
-            row.bits_identical
-        ));
-        out.push_str(if i + 1 == rows.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 fn run_verify() {
     banner("E16 — formal certification wall time vs design size (socgen ladder)");
-    let sizes = [8, 16, 32, 64, 128];
+    let sizes = [8, 16, 32, 64, 128, 1_000];
     let rows = experiments::verify_ladder(&sizes);
     println!(
         "  procs  chans  comps  method      states     events  verify[ms]  howard[ms]  period"
     );
+    let mut report = Report::new("E16", Row::new().with("sizes", &sizes[..]));
     for row in &rows {
         println!(
             "  {:>5}  {:>5}  {:>5}  {:<9} {:>8} {:>10}  {:>10.2}  {:>10.2}  {}",
@@ -528,97 +471,50 @@ fn run_verify() {
                 "MISMATCH"
             }
         );
+        report.push(
+            Row::new()
+                .with("processes", row.processes)
+                .with("channels", row.channels)
+                .with("components", row.components)
+                .with("method", row.method)
+                .with("states", row.states)
+                .with("events", row.events)
+                .with("verify_ms", row.verify_ms)
+                .with("howard_ms", row.howard_ms)
+                .with("bits_identical", row.bits_identical),
+        );
     }
+    report.write("BENCH_verify.json");
     assert!(
         rows.iter().all(|r| r.bits_identical),
         "every certified period must match Howard bit for bit"
     );
-    let json = verify_json(&sizes, &rows);
-    match std::fs::write("BENCH_verify.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_verify.json"),
-        Err(e) => eprintln!("\ncould not write BENCH_verify.json: {e}"),
-    }
     println!("\n(verify = static pass + untimed reachability/k-induction + exact recurrence");
     println!(" extraction; howard = one spectral analysis of the same lowered TMG. The");
     println!(" certifier pays for deadlock *proof* and an exact period, the spectral pass");
-    println!(" only for the period — the gap is the price of the certificate)");
+    println!(" only for the period — the gap is the price of the certificate. The 1,000-");
+    println!(" process rung is the soc:1k design of E19, ordered by Algorithm 1)");
 }
 
-/// Minimal HTTP client for the cluster experiment: one-shot POST (or
-/// GET for `body == None`) on its own connection.
-fn cluster_http(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    use std::io::{BufRead as _, Read as _, Write as _};
-    let mut stream = std::net::TcpStream::connect(addr).expect("daemon reachable");
-    let _ = stream.set_nodelay(true);
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nconnection: close\r\ncontent-length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("request written");
-    stream.flush().expect("flushed");
-    let mut reader = std::io::BufReader::new(stream);
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line).expect("status line");
-    let status: u16 = status_line
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line `{status_line}`"));
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("header line");
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
-            content_length = v.trim().parse().expect("numeric content-length");
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).expect("complete body");
-    (status, String::from_utf8(body).expect("utf-8 body"))
+/// `/sweep?targets=a,b,c`.
+fn sweep_path(targets: &[u64]) -> String {
+    let list: Vec<String> = targets.iter().map(u64::to_string).collect();
+    format!("/sweep?targets={}", list.join(","))
 }
 
-struct ClusterRow {
-    workers: usize,
-    wall_s: f64,
-    sweeps_per_s: f64,
-    speedup: f64,
-    bits_identical: bool,
-    degraded: u64,
-}
-
-fn cluster_json(targets: &[u64], rounds: usize, rows: &[ClusterRow]) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"E17\",\n");
-    out.push_str("  \"system\": \"socgen-240\",\n");
-    out.push_str(&format!("  \"targets\": {targets:?},\n"));
-    out.push_str(&format!("  \"rounds\": {rounds},\n"));
-    out.push_str("  \"rows\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"workers\": {},\n", row.workers));
-        out.push_str(&format!("      \"wall_s\": {:.4},\n", row.wall_s));
-        out.push_str(&format!(
-            "      \"sweeps_per_s\": {:.4},\n",
-            row.sweeps_per_s
-        ));
-        out.push_str(&format!("      \"speedup\": {:.3},\n", row.speedup));
-        out.push_str(&format!("      \"degraded_jobs\": {},\n", row.degraded));
-        out.push_str(&format!(
-            "      \"bits_identical\": {}\n",
-            row.bits_identical
-        ));
-        out.push_str(if i + 1 == rows.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// `rounds` socgen specs of `processes` processes, seeds from `seed`.
+fn socgen_specs(processes: usize, rounds: usize, seed: u64) -> Vec<String> {
+    (0..rounds)
+        .map(|round| {
+            let soc = socgen::generate(socgen::SocGenConfig::sized(
+                processes,
+                processes * 3 / 2,
+                seed + round as u64,
+            ));
+            let design = ermes::Design::new(soc.system, soc.pareto).expect("well-formed");
+            ermesd::SystemSpec::from_design(&design).to_json_pretty()
+        })
+        .collect()
 }
 
 /// E17: clustered sweep throughput at 1/2/3/4 workers. Every sweep is
@@ -628,181 +524,87 @@ fn cluster_json(targets: &[u64], rounds: usize, rows: &[ClusterRow]) -> String {
 /// against a single-node daemon.
 fn run_cluster() {
     banner("E17 — clustered sweep throughput vs worker count (socgen ladder)");
-    let targets: Vec<u64> = vec![
+    let targets: [u64; 12] = [
         500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 500_000, 1_000_000,
         2_500_000,
     ];
-    let path = format!(
-        "/sweep?targets={}",
-        targets
-            .iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join(",")
-    );
+    let path = sweep_path(&targets);
     const ROUNDS: usize = 3;
-    let specs: Vec<String> = (0..ROUNDS)
-        .map(|round| {
-            let soc = socgen::generate(socgen::SocGenConfig::sized(240, 360, 1_000 + round as u64));
-            let design = ermes::Design::new(soc.system, soc.pareto).expect("well-formed");
-            ermesd::SystemSpec::from_design(&design).to_json_pretty()
-        })
-        .collect();
+    let specs = socgen_specs(240, ROUNDS, 1_000);
 
     // Single-node reference bytes, one per round's design.
-    let single = ermesd::Server::start(ermesd::ServerConfig::default()).expect("bind");
-    let single_addr = single.addr();
-    let single_handle = std::thread::spawn(move || single.run());
+    let single = Daemon::start(ermesd::ServerConfig::default());
     let expected: Vec<String> = specs
         .iter()
         .map(|spec| {
-            let (status, body) = cluster_http(single_addr, "POST", &path, spec);
+            let (status, body) = request(single.addr(), "POST", &path, spec);
             assert_eq!(status, 200, "{body}");
             body
         })
         .collect();
-    let (status, _) = cluster_http(single_addr, "POST", "/shutdown", "");
-    assert_eq!(status, 200);
-    single_handle.join().expect("thread").expect("clean drain");
+    single.shutdown();
 
     println!("  workers  wall[s]  sweeps/s  speedup  degraded  identity");
-    let mut rows: Vec<ClusterRow> = Vec::new();
+    let mut report = Report::new(
+        "E17",
+        Row::new()
+            .with("system", "socgen-240")
+            .with("targets", &targets[..])
+            .with("rounds", ROUNDS),
+    );
+    let mut all_identical = true;
     let mut base_wall = f64::NAN;
     for workers in [1usize, 2, 3, 4] {
-        let fleet: Vec<(std::net::SocketAddr, _)> = (0..workers)
-            .map(|_| {
-                let server = ermesd::Server::start(ermesd::ServerConfig {
-                    workers: 1,
-                    ..ermesd::ServerConfig::default()
-                })
-                .expect("bind worker");
-                let addr = server.addr();
-                (addr, std::thread::spawn(move || server.run()))
-            })
-            .collect();
-        let mut cluster =
-            ermesd::ClusterConfig::new(fleet.iter().map(|(addr, _)| addr.to_string()).collect());
-        cluster.probe_interval_ms = 200;
-        let coordinator = ermesd::Server::start(ermesd::ServerConfig {
-            cluster: Some(cluster),
-            ..ermesd::ServerConfig::default()
-        })
-        .expect("bind coordinator");
-        let coord_addr = coordinator.addr();
-        let coord_handle = std::thread::spawn(move || coordinator.run());
-
+        let fleet = Fleet::start(workers);
         let started = std::time::Instant::now();
         let mut identical = true;
         for (spec, want) in specs.iter().zip(&expected) {
-            let (status, body) = cluster_http(coord_addr, "POST", &path, spec);
+            let (status, body) = request(fleet.addr(), "POST", &path, spec);
             assert_eq!(status, 200, "{body}");
             identical &= body == *want;
         }
         let wall = started.elapsed().as_secs_f64();
-        let (_, metrics) = cluster_http(coord_addr, "GET", "/metrics", "");
-        let degraded = metrics
+        let (_, metrics) = request(fleet.addr(), "GET", "/metrics", "");
+        let degraded: u64 = metrics
             .lines()
             .find(|l| l.starts_with("ermes_cluster_degraded_total"))
             .and_then(|l| l.rsplit(' ').next())
             .and_then(|v| v.parse().ok())
             .unwrap_or(0);
-
-        let (status, _) = cluster_http(coord_addr, "POST", "/shutdown", "");
-        assert_eq!(status, 200);
-        coord_handle.join().expect("thread").expect("clean drain");
-        for (addr, handle) in fleet {
-            let (status, _) = cluster_http(addr, "POST", "/shutdown", "");
-            assert_eq!(status, 200);
-            handle.join().expect("thread").expect("clean drain");
-        }
+        fleet.shutdown();
 
         if workers == 1 {
             base_wall = wall;
         }
-        let row = ClusterRow {
-            workers,
-            wall_s: wall,
-            sweeps_per_s: ROUNDS as f64 / wall,
-            speedup: base_wall / wall,
-            bits_identical: identical,
-            degraded,
-        };
+        let (sweeps_per_s, speedup) = (ROUNDS as f64 / wall, base_wall / wall);
         println!(
-            "  {:>7}  {:>7.2}  {:>8.3}  {:>6.2}x  {:>8}  {}",
-            row.workers,
-            row.wall_s,
-            row.sweeps_per_s,
-            row.speedup,
-            row.degraded,
-            if row.bits_identical {
+            "  {workers:>7}  {wall:>7.2}  {sweeps_per_s:>8.3}  {speedup:>6.2}x  {degraded:>8}  {}",
+            if identical {
                 "bit-identical"
             } else {
                 "MISMATCH"
             }
         );
-        rows.push(row);
+        report.push(
+            Row::new()
+                .with("workers", workers)
+                .with("wall_s", wall)
+                .with("sweeps_per_s", sweeps_per_s)
+                .with("speedup", speedup)
+                .with("degraded_jobs", degraded)
+                .with("bits_identical", identical),
+        );
+        all_identical &= identical;
     }
+    report.write("BENCH_cluster.json");
     assert!(
-        rows.iter().all(|r| r.bits_identical),
+        all_identical,
         "every clustered sweep must match the single-node daemon bit for bit"
     );
-    let json = cluster_json(&targets, ROUNDS, &rows);
-    match std::fs::write("BENCH_cluster.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_cluster.json"),
-        Err(e) => eprintln!("\ncould not write BENCH_cluster.json: {e}"),
-    }
     println!("\n(each round sweeps a fresh design, so caches start cold and the ladder");
     println!(" measures fan-out parallelism; speedup saturates at min(workers, cores,");
     println!(" ladder length). Degraded jobs are subjobs the fleet could not serve that");
     println!(" the coordinator computed locally — nonzero means the run saw faults)");
-}
-
-struct TraceClusterRow {
-    workers: usize,
-    untraced_ms: f64,
-    traced_ms: f64,
-    overhead_percent: f64,
-    stitched_hosts: usize,
-    bits_identical: bool,
-}
-
-fn tracecluster_json(targets: &[u64], rounds: usize, rows: &[TraceClusterRow]) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"E18\",\n");
-    out.push_str("  \"system\": \"socgen-120\",\n");
-    out.push_str(&format!("  \"targets\": {targets:?},\n"));
-    out.push_str(&format!("  \"rounds\": {rounds},\n"));
-    out.push_str("  \"rows\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"workers\": {},\n", row.workers));
-        out.push_str(&format!(
-            "      \"untraced_ms_per_sweep\": {:.4},\n",
-            row.untraced_ms
-        ));
-        out.push_str(&format!(
-            "      \"traced_ms_per_sweep\": {:.4},\n",
-            row.traced_ms
-        ));
-        out.push_str(&format!(
-            "      \"overhead_percent\": {:.3},\n",
-            row.overhead_percent
-        ));
-        out.push_str(&format!(
-            "      \"stitched_hosts\": {},\n",
-            row.stitched_hosts
-        ));
-        out.push_str(&format!(
-            "      \"bits_identical\": {}\n",
-            row.bits_identical
-        ));
-        out.push_str(if i + 1 == rows.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 /// E18: what distributed tracing costs a clustered sweep. The same
@@ -814,49 +616,22 @@ fn tracecluster_json(targets: &[u64], rounds: usize, rows: &[TraceClusterRow]) -
 /// `host` attributes on the coordinator's `/trace`).
 fn run_tracecluster() {
     banner("E18 — stitched-trace overhead: traced vs untraced clustered sweeps");
-    let targets: Vec<u64> = vec![1_000, 5_000, 25_000, 100_000, 500_000, 2_500_000];
-    let path = format!(
-        "/sweep?targets={}",
-        targets
-            .iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join(",")
-    );
+    let targets: [u64; 6] = [1_000, 5_000, 25_000, 100_000, 500_000, 2_500_000];
+    let path = sweep_path(&targets);
     const ROUNDS: usize = 3;
-    let specs: Vec<String> = (0..ROUNDS)
-        .map(|round| {
-            let soc = socgen::generate(socgen::SocGenConfig::sized(120, 180, 2_000 + round as u64));
-            let design = ermes::Design::new(soc.system, soc.pareto).expect("well-formed");
-            ermesd::SystemSpec::from_design(&design).to_json_pretty()
-        })
-        .collect();
+    let specs = socgen_specs(120, ROUNDS, 2_000);
 
     println!("  workers  untraced[ms]  traced[ms]  overhead  hosts  identity");
-    let mut rows: Vec<TraceClusterRow> = Vec::new();
+    let mut report = Report::new(
+        "E18",
+        Row::new()
+            .with("system", "socgen-120")
+            .with("targets", &targets[..])
+            .with("rounds", ROUNDS),
+    );
+    let mut all_identical = true;
     for workers in [1usize, 2, 4] {
-        let fleet: Vec<(std::net::SocketAddr, _)> = (0..workers)
-            .map(|_| {
-                let server = ermesd::Server::start(ermesd::ServerConfig {
-                    workers: 1,
-                    ..ermesd::ServerConfig::default()
-                })
-                .expect("bind worker");
-                let addr = server.addr();
-                (addr, std::thread::spawn(move || server.run()))
-            })
-            .collect();
-        let mut cluster =
-            ermesd::ClusterConfig::new(fleet.iter().map(|(addr, _)| addr.to_string()).collect());
-        cluster.probe_interval_ms = 200;
-        let coordinator = ermesd::Server::start(ermesd::ServerConfig {
-            cluster: Some(cluster),
-            ..ermesd::ServerConfig::default()
-        })
-        .expect("bind coordinator");
-        let coord_addr = coordinator.addr();
-        let coord_handle = std::thread::spawn(move || coordinator.run());
-
+        let fleet = Fleet::start(workers);
         // The span journal is process-global, so clear the previous
         // fleet's grafts before this one records (the host census below
         // must see only this iteration's workers).
@@ -866,7 +641,7 @@ fn run_tracecluster() {
         // same steady state (sweeps all cache hits, stitching the only
         // variable), then time untraced and traced passes.
         for spec in &specs {
-            let (status, body) = cluster_http(coord_addr, "POST", &path, spec);
+            let (status, body) = request(fleet.addr(), "POST", &path, spec);
             assert_eq!(status, 200, "{body}");
         }
         let timed_pass = |on: bool| -> (f64, Vec<String>) {
@@ -875,7 +650,7 @@ fn run_tracecluster() {
             let bodies = specs
                 .iter()
                 .map(|spec| {
-                    let (status, body) = cluster_http(coord_addr, "POST", &path, spec);
+                    let (status, body) = request(fleet.addr(), "POST", &path, spec);
                     assert_eq!(status, 200, "{body}");
                     body
                 })
@@ -891,57 +666,43 @@ fn run_tracecluster() {
 
         // Count distinct worker hosts stitched into the coordinator's
         // journal — the proof the traced pass exercised the wire path.
-        let (_, trace_body) = cluster_http(coord_addr, "GET", "/trace?n=64", "");
+        let (_, trace_body) = request(fleet.addr(), "GET", "/trace?n=64", "");
         let mut hosts: std::collections::BTreeSet<&str> = std::collections::BTreeSet::new();
         for chunk in trace_body.split("\"host\":\"").skip(1) {
             hosts.insert(chunk.split('"').next().unwrap_or(""));
         }
+        fleet.shutdown();
 
-        let (status, _) = cluster_http(coord_addr, "POST", "/shutdown", "");
-        assert_eq!(status, 200);
-        coord_handle.join().expect("thread").expect("clean drain");
-        for (addr, handle) in fleet {
-            let (status, _) = cluster_http(addr, "POST", "/shutdown", "");
-            assert_eq!(status, 200);
-            handle.join().expect("thread").expect("clean drain");
-        }
-
-        let row = TraceClusterRow {
-            workers,
-            untraced_ms,
-            traced_ms,
-            overhead_percent: 100.0 * (traced_ms - untraced_ms) / untraced_ms,
-            stitched_hosts: hosts.len(),
-            bits_identical: identical,
-        };
+        let overhead_percent = 100.0 * (traced_ms - untraced_ms) / untraced_ms;
         println!(
-            "  {:>7}  {:>12.2}  {:>10.2}  {:>7.1}%  {:>5}  {}",
-            row.workers,
-            row.untraced_ms,
-            row.traced_ms,
-            row.overhead_percent,
-            row.stitched_hosts,
-            if row.bits_identical {
+            "  {workers:>7}  {untraced_ms:>12.2}  {traced_ms:>10.2}  {overhead_percent:>7.1}%  {:>5}  {}",
+            hosts.len(),
+            if identical {
                 "bit-identical"
             } else {
                 "MISMATCH"
             }
         );
         assert!(
-            row.stitched_hosts >= workers.min(targets.len()),
+            hosts.len() >= workers.min(targets.len()),
             "traced pass must stitch a subtree from every worker that served a subjob"
         );
-        rows.push(row);
+        report.push(
+            Row::new()
+                .with("workers", workers)
+                .with("untraced_ms_per_sweep", untraced_ms)
+                .with("traced_ms_per_sweep", traced_ms)
+                .with("overhead_percent", overhead_percent)
+                .with("stitched_hosts", hosts.len())
+                .with("bits_identical", identical),
+        );
+        all_identical &= identical;
     }
+    report.write("BENCH_tracecluster.json");
     assert!(
-        rows.iter().all(|r| r.bits_identical),
+        all_identical,
         "sweep bytes must not depend on whether tracing is enabled"
     );
-    let json = tracecluster_json(&targets, ROUNDS, &rows);
-    match std::fs::write("BENCH_tracecluster.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_tracecluster.json"),
-        Err(e) => eprintln!("\ncould not write BENCH_tracecluster.json: {e}"),
-    }
     println!("\n(caches are warmed before either timed pass, so subjob compute is at its");
     println!(" minimum and the overhead column is a worst case: per-subjob trailer");
     println!(" serialization, parsing, clock alignment, and journal grafts over sweeps");
@@ -992,6 +753,44 @@ fn run_pipeline() {
     println!("last-frame PSNR             : {psnr:.1} dB");
 }
 
+/// One experiment: its `--experiment` id and its runner, which gets the
+/// `--jobs` value.
+type Experiment = (&'static str, fn(usize));
+
+/// Every experiment, in the order `all` runs them.
+const EXPERIMENTS: &[Experiment] = &[
+    ("fig2", |_| run_fig2()),
+    ("fig2b", |_| run_fig2b()),
+    ("fig3", |_| run_fig3()),
+    ("fig4", |_| run_fig4()),
+    ("orders", |_| run_orders()),
+    ("table1", |_| run_table1()),
+    ("m1", |_| run_m1()),
+    ("fig6-timing", |_| {
+        run_fig6(
+            2_000,
+            "E7 / Fig. 6 (left) — timing optimization, TCT = 2,000 KCycles",
+            "paper: 2x speed-up, +44.57% area",
+        );
+    }),
+    ("fig6-area", |_| {
+        run_fig6(
+            4_000,
+            "E8 / Fig. 6 (right) — area recovery, TCT = 4,000 KCycles",
+            "paper: -32.46% area, <1% CT degradation",
+        );
+    }),
+    ("pipeline", |_| run_pipeline()),
+    ("ablation", |_| run_ablation()),
+    ("sweep", |_| run_sweep()),
+    ("scale", run_scale),
+    ("phases", run_phases),
+    ("incremental", |_| run_incremental()),
+    ("verify", |_| run_verify()),
+    ("cluster", |_| run_cluster()),
+    ("tracecluster", |_| run_tracecluster()),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let experiment = args
@@ -1012,68 +811,18 @@ fn main() {
         std::process::exit(2);
     });
 
-    match experiment {
-        "fig2" => run_fig2(),
-        "fig2b" => run_fig2b(),
-        "fig3" => run_fig3(),
-        "fig4" => run_fig4(),
-        "orders" => run_orders(),
-        "table1" => run_table1(),
-        "m1" => run_m1(),
-        "fig6-timing" => run_fig6(
-            2_000,
-            "E7 / Fig. 6 (left) — timing optimization, TCT = 2,000 KCycles",
-            "paper: 2x speed-up, +44.57% area",
-        ),
-        "fig6-area" => run_fig6(
-            4_000,
-            "E8 / Fig. 6 (right) — area recovery, TCT = 4,000 KCycles",
-            "paper: -32.46% area, <1% CT degradation",
-        ),
-        "scalability" => run_scalability(jobs),
-        "scale" => run_scale(jobs),
-        "phases" => run_phases(jobs),
-        "incremental" => run_incremental(),
-        "verify" => run_verify(),
-        "cluster" => run_cluster(),
-        "tracecluster" => run_tracecluster(),
-        "pipeline" => run_pipeline(),
-        "ablation" => run_ablation(),
-        "sweep" => run_sweep(),
-        "all" => {
-            run_fig2();
-            run_fig2b();
-            run_fig3();
-            run_fig4();
-            run_orders();
-            run_table1();
-            run_m1();
-            run_fig6(
-                2_000,
-                "E7 / Fig. 6 (left) — timing optimization, TCT = 2,000 KCycles",
-                "paper: 2x speed-up, +44.57% area",
-            );
-            run_fig6(
-                4_000,
-                "E8 / Fig. 6 (right) — area recovery, TCT = 4,000 KCycles",
-                "paper: -32.46% area, <1% CT degradation",
-            );
-            run_pipeline();
-            run_ablation();
-            run_sweep();
-            run_scalability(jobs);
-            run_scale(jobs);
-            run_phases(jobs);
-            run_incremental();
-            run_verify();
-            run_cluster();
-            run_tracecluster();
+    if experiment == "all" {
+        for (_, run) in EXPERIMENTS {
+            run(jobs);
         }
-        other => {
-            eprintln!("unknown experiment `{other}`");
-            eprintln!(
-                "known: fig2 fig2b fig3 fig4 orders table1 m1 fig6-timing fig6-area scalability scale phases incremental verify cluster tracecluster pipeline ablation sweep all"
-            );
+        return;
+    }
+    match EXPERIMENTS.iter().find(|(id, _)| *id == experiment) {
+        Some((_, run)) => run(jobs),
+        None => {
+            let known: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+            eprintln!("unknown experiment `{experiment}`");
+            eprintln!("known: {} all", known.join(" "));
             std::process::exit(2);
         }
     }

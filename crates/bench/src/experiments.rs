@@ -202,70 +202,6 @@ pub fn fig6(target_kcycles: u64) -> ExplorationTrace {
     .expect("MPEG-2 explorations succeed")
 }
 
-/// One row of the E9 scalability sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScalabilityRow {
-    /// Worker process count.
-    pub processes: usize,
-    /// Channel count.
-    pub channels: usize,
-    /// Milliseconds for one channel-ordering run.
-    pub ordering_ms: f64,
-    /// Milliseconds for one TMG cycle-time analysis.
-    pub analysis_ms: f64,
-    /// Milliseconds for a full ERMES exploration (greedy IP selection).
-    pub exploration_ms: f64,
-}
-
-/// Runs E9 for the given sizes.
-#[must_use]
-pub fn scalability(sizes: &[usize]) -> Vec<ScalabilityRow> {
-    sizes
-        .iter()
-        .map(|&n| {
-            let soc = socgen::generate(socgen::SocGenConfig::sized(n, n * 3 / 2, 42));
-            let channels = soc.system.channel_count();
-
-            let t0 = Instant::now();
-            let solution = order_channels(&soc.system);
-            let ordering_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-            let mut sys = soc.system.clone();
-            solution.ordering.apply_to(&mut sys).expect("valid");
-            let t1 = Instant::now();
-            let verdict = tmg::analyze(lower_to_tmg(&sys).tmg());
-            let analysis_ms = t1.elapsed().as_secs_f64() * 1e3;
-            assert!(!verdict.is_deadlock(), "generated benchmarks are live");
-
-            let design = ermes::Design::new(soc.system, soc.pareto).expect("sizes match");
-            let target = verdict
-                .cycle_time()
-                .expect("live")
-                .to_f64()
-                .mul_add(0.7, 0.0) as u64;
-            let t2 = Instant::now();
-            let _ = explore(
-                design,
-                ExplorationConfig {
-                    max_iterations: 4,
-                    strategy: ermes::OptStrategy::Greedy,
-                    ..ExplorationConfig::with_target(target.max(1))
-                },
-            )
-            .expect("exploration succeeds");
-            let exploration_ms = t2.elapsed().as_secs_f64() * 1e3;
-
-            ScalabilityRow {
-                processes: n,
-                channels,
-                ordering_ms,
-                analysis_ms,
-                exploration_ms,
-            }
-        })
-        .collect()
-}
-
 /// One row of the E16 verification ladder.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VerifyRow {
@@ -304,7 +240,7 @@ pub fn verify_ladder(sizes: &[usize]) -> Vec<VerifyRow> {
     sizes
         .iter()
         .map(|&n| {
-            // As in the paper's flow (and E9): order statements first —
+            // As in the paper's flow (and E19): order statements first —
             // raw generated systems can self-block under the default
             // insertion orders, which is the verifier's *refutation*
             // case, not its certification ladder.
@@ -347,133 +283,15 @@ pub fn verify_ladder(sizes: &[usize]) -> Vec<VerifyRow> {
         .collect()
 }
 
-/// One row of the E9 parallel-sweep benchmark: the same multi-target
-/// Pareto sweep, serial versus parallel, on one synthetic SoC.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParallelSweepRow {
-    /// Worker process count.
-    pub processes: usize,
-    /// Channel count.
-    pub channels: usize,
-    /// Targets in the ladder.
-    pub targets: usize,
-    /// Worker threads of the parallel run.
-    pub jobs: usize,
-    /// Wall-clock of the seed engine (serial, unmemoized), in
-    /// milliseconds.
-    pub serial_ms: f64,
-    /// Wall-clock of the new engine (memoized, `jobs` threads, cold
-    /// cache), in milliseconds.
-    pub parallel_ms: f64,
-    /// Wall-clock of re-running the sweep against the now-warm cache
-    /// (the iterative-DSE case), in milliseconds.
-    pub resweep_ms: f64,
-    /// `serial_ms / parallel_ms` (cold).
-    pub speedup: f64,
-    /// `serial_ms / resweep_ms` (warm).
-    pub resweep_speedup: f64,
-    /// All three fronts compared with exact `Ratio`/`f64` equality.
-    pub identical: bool,
-    /// Analysis-cache hit rate over both engine runs.
-    pub analysis_hit_rate: f64,
-    /// Ordering-cache hit rate over both engine runs.
-    pub ordering_hit_rate: f64,
-}
-
-/// Runs the E9 parallel-sweep benchmark: for each size, sweep a 12-target
-/// ladder (bracketing the initial cycle time) with the seed engine
-/// (serial, unmemoized — one independent exploration per target) and with
-/// the new engine (`jobs` worker threads sharing one memoization cache),
-/// then re-sweep against the warm cache (the iterative-DSE case), and
-/// check all three fronts are bit-identical.
-///
-/// # Panics
-///
-/// Panics if a generated benchmark fails to explore (they are live by
-/// construction).
-#[must_use]
-pub fn parallel_sweep(sizes: &[usize], jobs: usize) -> Vec<ParallelSweepRow> {
-    sizes
-        .iter()
-        .map(|&n| {
-            let soc = socgen::generate(socgen::SocGenConfig::sized(n, n * 3 / 2, 42));
-            let channels = soc.system.channel_count();
-            let design = ermes::Design::new(soc.system, soc.pareto).expect("sizes match");
-            let mut probe = design.clone();
-            let solution = order_channels(probe.system());
-            solution
-                .ordering
-                .apply_to(probe.system_mut())
-                .expect("valid");
-            let base = ermes::analyze_design(&probe)
-                .cycle_time()
-                .expect("generated benchmarks are live")
-                .to_f64();
-            let targets: Vec<u64> = [
-                0.5, 0.65, 0.8, 0.95, 1.1, 1.25, 1.4, 1.6, 2.0, 2.5, 3.5, 5.0,
-            ]
-            .iter()
-            .map(|f| ((base * f) as u64).max(1))
-            .collect();
-
-            let t0 = Instant::now();
-            let serial = ermes::pareto_sweep_with(
-                design.clone(),
-                &targets,
-                &ermes::SweepOptions {
-                    jobs: 1,
-                    memoize: false,
-                },
-            )
-            .expect("serial sweep succeeds");
-            let serial_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-            let options = ermes::SweepOptions {
-                jobs,
-                memoize: true,
-            };
-            let cache = ermes::EngineCache::new();
-            let t1 = Instant::now();
-            let parallel = ermes::pareto_sweep_cached(design.clone(), &targets, &options, &cache)
-                .expect("parallel sweep succeeds");
-            let parallel_ms = t1.elapsed().as_secs_f64() * 1e3;
-
-            // Sweep again against the warm cache: every configuration the
-            // first run scored is served from the memo.
-            let t2 = Instant::now();
-            let resweep = ermes::pareto_sweep_cached(design, &targets, &options, &cache)
-                .expect("warm sweep succeeds");
-            let resweep_ms = t2.elapsed().as_secs_f64() * 1e3;
-
-            ParallelSweepRow {
-                processes: n,
-                channels,
-                targets: targets.len(),
-                jobs: parx::resolve_jobs(jobs),
-                serial_ms,
-                parallel_ms,
-                resweep_ms,
-                speedup: serial_ms / parallel_ms,
-                resweep_speedup: serial_ms / resweep_ms,
-                identical: parallel.front == serial.front && resweep.front == serial.front,
-                analysis_hit_rate: resweep.cache.analysis_hit_rate(),
-                ordering_hit_rate: resweep.cache.ordering_hit_rate(),
-            }
-        })
-        .collect()
-}
-
 /// Peak resident set (`VmHWM`) of this process in MiB, from
 /// `/proc/self/status`. Returns `0.0` where the file is unavailable
 /// (non-Linux), so callers can always print the column.
-#[must_use]
-pub fn peak_rss_mb() -> f64 {
+fn peak_rss_mb() -> f64 {
     proc_status_kb("VmHWM:") / 1024.0
 }
 
 /// Current resident set (`VmRSS`) of this process in MiB.
-#[must_use]
-pub fn current_rss_mb() -> f64 {
+fn current_rss_mb() -> f64 {
     proc_status_kb("VmRSS:") / 1024.0
 }
 
@@ -489,25 +307,118 @@ fn proc_status_kb(field: &str) -> f64 {
         .unwrap_or(0.0)
 }
 
-/// One rung of the E19 flat-graph scale ladder.
+/// One of the three sweeps the engine ladders (E13, E19) compare.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stage {
+    /// The serial sweep without memoization: one independent exploration
+    /// per target, re-lowering and re-solving everything.
+    Seed,
+    /// The memoized sweep on a fresh [`ermes::EngineCache`].
+    Cold,
+    /// The same ladder replayed on the cache the cold sweep filled (the
+    /// iterative design-space-exploration case).
+    Warm,
+}
+
+impl Stage {
+    /// The stages in the order they must run.
+    pub const ALL: [Stage; 3] = [Stage::Seed, Stage::Cold, Stage::Warm];
+
+    /// `seed`, `cold` or `warm`.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Stage::Seed => "seed",
+            Stage::Cold => "cold",
+            Stage::Warm => "warm",
+        }
+    }
+}
+
+/// The one seed / cold / warm runner: one design swept over one target
+/// ladder, the memoized stages sharing one cache.
+#[derive(Debug)]
+pub struct SweepStages {
+    design: ermes::Design,
+    targets: Vec<u64>,
+    jobs: usize,
+    cache: ermes::EngineCache,
+}
+
+impl SweepStages {
+    /// A runner with an empty cache; `jobs` is the memoized stages'
+    /// worker-thread count (`0` = all hardware threads).
+    #[must_use]
+    pub fn new(design: ermes::Design, targets: Vec<u64>, jobs: usize) -> Self {
+        SweepStages {
+            design,
+            targets,
+            jobs,
+            cache: ermes::EngineCache::new(),
+        }
+    }
+
+    /// Runs one stage and returns its wall time in milliseconds and its
+    /// report. [`Stage::Warm`] replays whatever [`Stage::Cold`] stored,
+    /// so run them in that order.
+    ///
+    /// # Panics
+    ///
+    /// If the sweep fails: the ladders sweep live designs only.
+    #[must_use]
+    pub fn run(&self, stage: Stage) -> (f64, ermes::SweepReport) {
+        let started = Instant::now();
+        let report = match stage {
+            Stage::Seed => ermes::pareto_sweep_with(
+                self.design.clone(),
+                &self.targets,
+                &ermes::SweepOptions {
+                    jobs: 1,
+                    memoize: false,
+                },
+            ),
+            Stage::Cold | Stage::Warm => ermes::pareto_sweep_cached(
+                self.design.clone(),
+                &self.targets,
+                &ermes::SweepOptions {
+                    jobs: self.jobs,
+                    memoize: true,
+                },
+                &self.cache,
+            ),
+        }
+        .unwrap_or_else(|e| panic!("{} sweep failed: {e}", stage.name()));
+        (started.elapsed().as_secs_f64() * 1e3, report)
+    }
+}
+
+/// One rung of the E19 scale ladder.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScaleRow {
     /// Worker process count requested from the generator.
     pub processes: usize,
     /// Channel count of the generated system.
     pub channels: usize,
+    /// Milliseconds to generate the system.
+    pub generate_ms: f64,
     /// Milliseconds for one channel-ordering run (Algorithm 1).
     pub ordering_ms: f64,
     /// Milliseconds for one lowering + Howard analysis.
     pub analysis_ms: f64,
-    /// Seed-engine baseline for the 12-target sweep (serial, unmemoized —
-    /// one independent exploration per target, re-lowering and re-solving
-    /// everything from scratch). `None` on rungs where the baseline is
-    /// deliberately skipped to keep the ladder inside a CI budget.
+    /// A second analysis of the same ordered system equals the first:
+    /// `Eq` on the verdict, f64 bits on the cycle time.
+    pub reanalysis_identical: bool,
+    /// Milliseconds for a greedy ERMES exploration toward 0.7× the cycle
+    /// time, at most 4 iterations (the paper's §6 flow).
+    pub explore_ms: f64,
+    /// Targets in the sweep ladder.
+    pub targets: usize,
+    /// [`Stage::Seed`] sweep, in milliseconds. `None` on rungs where it is
+    /// skipped to keep the ladder inside a CI budget.
     pub baseline_ms: Option<f64>,
-    /// Cold sweep: memoized engine, fresh shared cache.
+    /// [`Stage::Cold`] sweep, in milliseconds.
     pub cold_ms: f64,
-    /// Warm sweep: the same ladder against the now-filled cache.
+    /// [`Stage::Warm`] sweep, in milliseconds.
     pub warm_ms: f64,
     /// `baseline_ms / cold_ms` where the baseline ran.
     pub cold_speedup: Option<f64>,
@@ -515,6 +426,8 @@ pub struct ScaleRow {
     pub warm_speedup: Option<f64>,
     /// Fronts compared with exact `Ratio` equality across every run pair.
     pub identical: bool,
+    /// Analysis-cache hit rate of the warm sweep.
+    pub analysis_hit_rate: f64,
     /// `VmHWM` after the rung, MiB (sizes ascend, so each rung's value is
     /// the high-water mark its own working set pushed).
     pub peak_rss_mb: f64,
@@ -522,92 +435,105 @@ pub struct ScaleRow {
     pub rss_mb: f64,
 }
 
-/// Runs E19: the paper's 10k-process benchmark as a first-class perf
-/// ladder. Each rung orders, analyzes, then sweeps the 12-target ladder
-/// three ways — seed baseline (serial, unmemoized; capped at
-/// `baseline_cap` processes), cold memoized, warm memoized — recording
-/// wall clock and resident-set high-water marks, and checks every front
-/// pair for exact equality.
+impl ScaleRow {
+    /// Seconds of the paper's §6 flow on this rung: generate, order,
+    /// lower + Howard, and the greedy exploration.
+    #[must_use]
+    pub fn flow_s(&self) -> f64 {
+        (self.generate_ms + self.ordering_ms + self.analysis_ms + self.explore_ms) / 1e3
+    }
+}
+
+/// The 12-target sweep ladder, 0.5× to 5× the cycle time `base`.
+fn sweep_ladder(base: f64) -> Vec<u64> {
+    [
+        0.5, 0.65, 0.8, 0.95, 1.1, 1.25, 1.4, 1.6, 2.0, 2.5, 3.5, 5.0,
+    ]
+    .iter()
+    .map(|f| ((base * f) as u64).max(1))
+    .collect()
+}
+
+/// Runs E19, the paper's scale claim (§6: 10,000 processes and 15,000
+/// channels) as a perf ladder. Each rung generates the seeded socgen
+/// system, orders it, analyzes it twice (the two verdicts must agree to
+/// the bit), explores it greedily toward 0.7× its cycle time, then
+/// sweeps the 12-target ladder through [`SweepStages`] — the seed stage
+/// capped at `baseline_cap` processes — and records wall clock and
+/// resident-set high-water marks, checking every front pair for exact
+/// equality.
 ///
 /// # Panics
 ///
-/// Panics if a generated benchmark fails to order, analyze, or sweep —
-/// any of which would invalidate the ladder.
+/// Panics if a generated benchmark fails to order, analyze, explore or
+/// sweep — any of which would invalidate the ladder.
 #[must_use]
 pub fn scale_ladder(sizes: &[usize], jobs: usize, baseline_cap: usize) -> Vec<ScaleRow> {
     sizes
         .iter()
         .map(|&n| {
+            let t0 = Instant::now();
             let soc = socgen::generate(socgen::SocGenConfig::sized(n, n * 3 / 2, 42));
+            let generate_ms = t0.elapsed().as_secs_f64() * 1e3;
             let channels = soc.system.channel_count();
 
-            let t0 = Instant::now();
+            let t1 = Instant::now();
             let solution = order_channels(&soc.system);
-            let ordering_ms = t0.elapsed().as_secs_f64() * 1e3;
+            let ordering_ms = t1.elapsed().as_secs_f64() * 1e3;
 
             let mut ordered = soc.system.clone();
             solution.ordering.apply_to(&mut ordered).expect("valid");
-            let t1 = Instant::now();
+            let t2 = Instant::now();
             let verdict = tmg::analyze(lower_to_tmg(&ordered).tmg());
-            let analysis_ms = t1.elapsed().as_secs_f64() * 1e3;
-            let base = verdict
-                .cycle_time()
-                .expect("generated benchmarks are live")
-                .to_f64();
-            let targets: Vec<u64> = [
-                0.5, 0.65, 0.8, 0.95, 1.1, 1.25, 1.4, 1.6, 2.0, 2.5, 3.5, 5.0,
-            ]
-            .iter()
-            .map(|f| ((base * f) as u64).max(1))
-            .collect();
+            let analysis_ms = t2.elapsed().as_secs_f64() * 1e3;
+            let cycle_time = verdict.cycle_time().expect("generated benchmarks are live");
+            let again = tmg::analyze(lower_to_tmg(&ordered).tmg());
+            let reanalysis_identical = again == verdict
+                && again
+                    .cycle_time()
+                    .is_some_and(|ct| ct.to_f64().to_bits() == cycle_time.to_f64().to_bits());
 
             let design = ermes::Design::new(soc.system, soc.pareto).expect("sizes match");
-
-            let baseline = (n <= baseline_cap).then(|| {
-                let t = Instant::now();
-                let swept = ermes::pareto_sweep_with(
-                    design.clone(),
-                    &targets,
-                    &ermes::SweepOptions {
-                        jobs: 1,
-                        memoize: false,
-                    },
-                )
-                .expect("baseline sweep succeeds");
-                (t.elapsed().as_secs_f64() * 1e3, swept)
-            });
-
-            let options = ermes::SweepOptions {
-                jobs,
-                memoize: true,
-            };
-            let cache = ermes::EngineCache::new();
-            let t2 = Instant::now();
-            let cold = ermes::pareto_sweep_cached(design.clone(), &targets, &options, &cache)
-                .expect("cold sweep succeeds");
-            let cold_ms = t2.elapsed().as_secs_f64() * 1e3;
-
+            let target = (cycle_time.to_f64() * 0.7) as u64;
             let t3 = Instant::now();
-            let warm = ermes::pareto_sweep_cached(design, &targets, &options, &cache)
-                .expect("warm sweep succeeds");
-            let warm_ms = t3.elapsed().as_secs_f64() * 1e3;
+            let _ = explore(
+                design.clone(),
+                ExplorationConfig {
+                    max_iterations: 4,
+                    strategy: ermes::OptStrategy::Greedy,
+                    ..ExplorationConfig::with_target(target.max(1))
+                },
+            )
+            .expect("exploration succeeds");
+            let explore_ms = t3.elapsed().as_secs_f64() * 1e3;
+
+            let targets = sweep_ladder(cycle_time.to_f64());
+            let stages = SweepStages::new(design, targets.clone(), jobs);
+            let baseline = (n <= baseline_cap).then(|| stages.run(Stage::Seed));
+            let (cold_ms, cold) = stages.run(Stage::Cold);
+            let (warm_ms, warm) = stages.run(Stage::Warm);
 
             let identical = warm.front == cold.front
                 && baseline
                     .as_ref()
-                    .is_none_or(|(_, swept)| swept.front == cold.front);
+                    .is_none_or(|(_, seed)| seed.front == cold.front);
             let baseline_ms = baseline.map(|(ms, _)| ms);
             ScaleRow {
                 processes: n,
                 channels,
+                generate_ms,
                 ordering_ms,
                 analysis_ms,
+                reanalysis_identical,
+                explore_ms,
+                targets: targets.len(),
                 baseline_ms,
                 cold_ms,
                 warm_ms,
                 cold_speedup: baseline_ms.map(|b| b / cold_ms),
                 warm_speedup: baseline_ms.map(|b| b / warm_ms),
                 identical,
+                analysis_hit_rate: warm.cache.analysis_hit_rate(),
                 peak_rss_mb: peak_rss_mb(),
                 rss_mb: current_rss_mb(),
             }
@@ -660,13 +586,13 @@ impl PhaseBreakdownRow {
     }
 }
 
-/// Runs E13: the MPEG-2 encoder swept over `targets` three times — seed
-/// engine, cold shared cache, warm re-sweep (the same three stages as
-/// E11) — with engine tracing enabled, reporting each stage's per-phase
-/// time split from the `ermes_phase_seconds` histograms. This is the
-/// observability counterpart of E11: it shows *which* phases the cache
-/// removes (analysis, ILP, ordering collapse to cache probes) rather
-/// than just that the total shrinks.
+/// Runs E13: the MPEG-2 encoder swept over `targets` through the three
+/// [`SweepStages`] (the same three stages as E11 and E19) with engine
+/// tracing enabled, reporting each stage's per-phase time split from
+/// the `ermes_phase_seconds` histograms. This is the observability
+/// counterpart of E11: it shows *which* phases the cache removes
+/// (analysis, ILP, ordering collapse to cache probes) rather than just
+/// that the total shrinks.
 ///
 /// # Panics
 ///
@@ -675,55 +601,29 @@ impl PhaseBreakdownRow {
 #[must_use]
 pub fn phase_breakdown(targets: &[u64], jobs: usize) -> Vec<PhaseBreakdownRow> {
     let (design, _) = mpeg2sys::mpeg2_design();
-    let options = ermes::SweepOptions {
-        jobs,
-        memoize: true,
-    };
-    let cache = ermes::EngineCache::new();
+    let stages = SweepStages::new(design, targets.to_vec(), jobs);
     let was_enabled = trace::enabled();
     trace::set_enabled(true);
-
-    let stage = |name: &'static str, run: &mut dyn FnMut()| -> PhaseBreakdownRow {
-        trace::reset();
-        let before = ilp::stats();
-        let t = Instant::now();
-        run();
-        let wall_ms = t.elapsed().as_secs_f64() * 1e3;
-        let ilp = ilp::stats().delta_since(&before);
-        let mut phases: Vec<(&'static str, u64, f64)> = trace::phase_snapshot()
-            .iter()
-            .map(|p| (p.phase, p.count, p.sum_seconds * 1e3))
-            .collect();
-        phases.sort_by(|a, b| b.2.total_cmp(&a.2));
-        PhaseBreakdownRow {
-            stage: name,
-            wall_ms,
-            phases,
-            ilp,
-        }
-    };
-
-    let rows = vec![
-        stage("seed", &mut || {
-            ermes::pareto_sweep_with(
-                design.clone(),
-                targets,
-                &ermes::SweepOptions {
-                    jobs: 1,
-                    memoize: false,
-                },
-            )
-            .expect("seed sweep succeeds");
-        }),
-        stage("cold", &mut || {
-            ermes::pareto_sweep_cached(design.clone(), targets, &options, &cache)
-                .expect("cold sweep succeeds");
-        }),
-        stage("warm", &mut || {
-            ermes::pareto_sweep_cached(design.clone(), targets, &options, &cache)
-                .expect("warm sweep succeeds");
-        }),
-    ];
+    let rows = Stage::ALL
+        .iter()
+        .map(|&stage| {
+            trace::reset();
+            let before = ilp::stats();
+            let (wall_ms, _) = stages.run(stage);
+            let ilp = ilp::stats().delta_since(&before);
+            let mut phases: Vec<(&'static str, u64, f64)> = trace::phase_snapshot()
+                .iter()
+                .map(|p| (p.phase, p.count, p.sum_seconds * 1e3))
+                .collect();
+            phases.sort_by(|a, b| b.2.total_cmp(&a.2));
+            PhaseBreakdownRow {
+                stage: stage.name(),
+                wall_ms,
+                phases,
+                ilp,
+            }
+        })
+        .collect();
     trace::set_enabled(was_enabled);
     trace::reset();
     rows
@@ -1054,11 +954,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sweep_fronts_are_identical() {
-        // Small sizes keep the test fast; the repro binary runs the
-        // 1000-process row. The contract under test is the bit-identity
-        // flag and sane counters, not the speedup.
-        let rows = parallel_sweep(&[60, 120], 4);
+    fn scale_ladder_fronts_are_identical() {
+        // Small sizes keep the test fast; `repro --experiment scale` runs
+        // the ladder to 10,000 processes. The contract under test is the
+        // bit-identity flags and sane counters, not the speedup.
+        let rows = scale_ladder(&[60, 120], 4, usize::MAX);
         assert_eq!(rows.len(), 2);
         for row in rows {
             assert!(
@@ -1066,7 +966,8 @@ mod tests {
                 "fronts diverged at {} processes",
                 row.processes
             );
-            assert!(row.serial_ms > 0.0 && row.parallel_ms > 0.0 && row.resweep_ms > 0.0);
+            assert!(row.reanalysis_identical, "at {} processes", row.processes);
+            assert!(row.baseline_ms > Some(0.0) && row.cold_ms > 0.0 && row.warm_ms > 0.0);
             assert!(row.targets == 12);
             assert!((0.0..=1.0).contains(&row.analysis_hit_rate));
             // The warm re-sweep replays only cached configurations.

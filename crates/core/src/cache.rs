@@ -63,15 +63,21 @@ impl ConfigKey {
 }
 
 /// Hit/miss counters of an [`EngineCache`], for reporting.
+///
+/// Every lookup counts exactly once, so hits plus misses is the number
+/// of lookups. A lookup that misses, computes, and then finds the entry
+/// already stored by another thread counts as a hit: on an unbounded
+/// cache the misses are then the distinct configurations, whatever the
+/// number of threads. A cancelled computation counts as a miss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Analysis results served from the cache.
     pub analysis_hits: u64,
-    /// Analysis results computed (and stored).
+    /// Analysis results computed and stored first (or cancelled).
     pub analysis_misses: u64,
     /// Channel orderings served from the cache.
     pub ordering_hits: u64,
-    /// Channel orderings computed (and stored).
+    /// Channel orderings computed and stored first.
     pub ordering_misses: u64,
     /// Entries dropped by LRU eviction (both tables; always 0 for an
     /// unbounded cache).
@@ -151,15 +157,21 @@ impl<V: Clone> Memo<V> {
     }
 
     /// Inserts `value`, evicting the least-recently-used entry first if
-    /// the table is at `capacity`. Returns the number of evictions (0/1).
-    fn insert(&mut self, key: ConfigKey, value: V, capacity: Option<usize>) -> u64 {
+    /// the table is at `capacity`, and returns the number of evictions
+    /// (0/1). Returns `None` without storing when another thread stored
+    /// `key` first; that entry is touched instead.
+    fn insert(&mut self, key: ConfigKey, value: V, capacity: Option<usize>) -> Option<u64> {
         self.tick += 1;
+        if let Some((_, used)) = self.entries.get_mut(&key) {
+            *used = self.tick;
+            return None;
+        }
         let mut evicted = 0;
         if let Some(cap) = capacity {
             if cap == 0 {
-                return 0; // degenerate bound: cache nothing
+                return Some(0); // degenerate bound: cache nothing
             }
-            if self.entries.len() >= cap && !self.entries.contains_key(&key) {
+            if self.entries.len() >= cap {
                 if let Some(oldest) = self
                     .entries
                     .iter()
@@ -172,7 +184,7 @@ impl<V: Clone> Memo<V> {
             }
         }
         self.entries.insert(key, (value, self.tick));
-        evicted
+        Some(evicted)
     }
 }
 
@@ -183,7 +195,8 @@ impl<V: Clone> Memo<V> {
 /// Locks are only held for lookups/inserts, never across the underlying
 /// computation, so parallel targets proceed without serializing; two
 /// threads may redundantly compute the same missing entry, which is
-/// harmless because the computations are deterministic.
+/// harmless because the computations are deterministic. The thread that
+/// stores second counts a hit (see [`CacheStats`]).
 #[derive(Debug, Default)]
 pub struct EngineCache {
     analysis: Mutex<Memo<PerfReport>>,
@@ -243,26 +256,10 @@ impl EngineCache {
             .expect("no cancel token, cannot be cancelled")
     }
 
-    /// [`EngineCache::analyze`], but cooperatively cancellable. Hits are
-    /// served as usual (they are complete by construction); on a miss
-    /// the analysis runs under `cancel`, and a cancelled computation is
-    /// **never inserted** — the cache only ever holds fully-computed
-    /// entries, so no later request can be served a partial result.
-    ///
-    /// # Errors
-    ///
-    /// [`parx::Cancelled`] when the token fired before the (miss-path)
-    /// analysis finished. The cache is unchanged in that case.
-    pub fn analyze_cancellable(
-        &self,
-        design: &Design,
-        cancel: &parx::CancelToken,
-    ) -> Result<PerfReport, parx::Cancelled> {
-        self.analyze_with(design, Some(cancel))
-    }
-
     /// [`EngineCache::analyze`], polling `cancel` on a miss when one is
-    /// given.
+    /// given. Hits are served as usual (they are complete by
+    /// construction); a cancelled computation is **never inserted**, so
+    /// no later request can be served a partial result.
     pub(crate) fn analyze_with(
         &self,
         design: &Design,
@@ -276,22 +273,27 @@ impl EngineCache {
             trace::attr("cache", "hit");
             return Ok(hit);
         }
-        self.analysis_misses.fetch_add(1, Ordering::Relaxed);
-        trace::attr("cache", "miss");
-        let report = analyze_report(design, cancel)?;
-        // The report is complete here; one last poll keeps a cancelled
-        // job from publishing an entry its requester will never read
-        // (and lets chaos tests slow this window with a delay fault).
-        let _ = parx::faultpoint::hit("cache.insert");
-        if let Some(token) = cancel {
-            token.check()?;
-        }
-        let evicted = self.analysis.lock().expect("cache poisoned").insert(
+        let computed = analyze_report(design, cancel).and_then(|report| {
+            // The report is complete here; one last poll keeps a cancelled
+            // job from publishing an entry its requester will never read
+            // (and lets chaos tests slow this window with a delay fault).
+            let _ = parx::faultpoint::hit("cache.insert");
+            cancel.map_or(Ok(()), parx::CancelToken::check)?;
+            Ok(report)
+        });
+        let report = match computed {
+            Ok(report) => report,
+            Err(cancelled) => {
+                self.settle(Some(0), &self.analysis_hits, &self.analysis_misses);
+                return Err(cancelled);
+            }
+        };
+        let stored = self.analysis.lock().expect("cache poisoned").insert(
             key,
             report.clone(),
             self.capacity,
         );
-        self.evictions.fetch_add(evicted, Ordering::Relaxed);
+        self.settle(stored, &self.analysis_hits, &self.analysis_misses);
         Ok(report)
     }
 
@@ -306,16 +308,32 @@ impl EngineCache {
             trace::attr("cache", "hit");
             return hit;
         }
-        self.ordering_misses.fetch_add(1, Ordering::Relaxed);
-        trace::attr("cache", "miss");
         let ordering = chanorder::order_channels(design.system()).ordering;
-        let evicted = self.ordering.lock().expect("cache poisoned").insert(
+        let stored = self.ordering.lock().expect("cache poisoned").insert(
             key,
             ordering.clone(),
             self.capacity,
         );
-        self.evictions.fetch_add(evicted, Ordering::Relaxed);
+        self.settle(stored, &self.ordering_hits, &self.ordering_misses);
         ordering
+    }
+
+    /// Counts a lookup that missed and computed: a hit when another
+    /// thread stored the entry first (`stored` is `None`), otherwise a
+    /// miss plus the evictions its insert caused. The span's `cache`
+    /// attribute records the same outcome.
+    fn settle(&self, stored: Option<u64>, hits: &AtomicU64, misses: &AtomicU64) {
+        match stored {
+            None => {
+                hits.fetch_add(1, Ordering::Relaxed);
+                trace::attr("cache", "hit");
+            }
+            Some(evicted) => {
+                misses.fetch_add(1, Ordering::Relaxed);
+                self.evictions.fetch_add(evicted, Ordering::Relaxed);
+                trace::attr("cache", "miss");
+            }
+        }
     }
 
     /// A snapshot of the hit/miss counters.
@@ -549,7 +567,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel(CancelReason::Disconnected);
         let err = cache
-            .analyze_cancellable(&design, &token)
+            .analyze_with(&design, Some(&token))
             .expect_err("token already fired");
         assert_eq!(err.reason, CancelReason::Disconnected);
         assert_eq!(
@@ -561,12 +579,17 @@ mod tests {
         let live = CancelToken::new();
         let fresh = analyze_design(&design);
         assert_eq!(
-            cache.analyze_cancellable(&design, &live).expect("live"),
+            cache.analyze_with(&design, Some(&live)).expect("live"),
             fresh
         );
         assert_eq!(cache.entry_counts().0, 1);
         assert_eq!(cache.analyze(&design), fresh);
-        assert_eq!(cache.stats().analysis_hits, 1);
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.analysis_hits, stats.analysis_misses),
+            (1, 2),
+            "the cancelled lookup still counts as a miss"
+        );
     }
 
     #[test]

@@ -874,6 +874,87 @@ mod tests {
         );
     }
 
+    mod trace_headers {
+        //! `x-ermes-trace` under hostile input: no header value may
+        //! panic the parser; `u64/u64` pairs (each half trimmed) parse to
+        //! their numbers, and anything else is the inactive context and
+        //! one more `ermes_trace_header_invalid_total`.
+        use super::parse_trace_header;
+        use crate::metrics::trace_header_invalid_total;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        /// Characters that reach every branch of the parser.
+        const NASTY: [char; 12] = ['0', '7', '9', '/', ' ', '\t', '+', '-', 'x', '.', 'é', '\n'];
+
+        /// The oracle: a header is valid iff it splits at its first `/`
+        /// into two halves that, trimmed, are `u64`s.
+        fn expected(text: &str) -> Option<(u64, u64)> {
+            let (t, p) = text.split_once('/')?;
+            Some((t.trim().parse().ok()?, p.trim().parse().ok()?))
+        }
+
+        fn check(text: &str) -> Result<(), TestCaseError> {
+            let before = trace_header_invalid_total();
+            let ctx = parse_trace_header(Some(text));
+            match expected(text) {
+                Some((t, p)) => {
+                    prop_assert_eq!((ctx.trace_id(), ctx.parent()), (t, p), "{:?}", text);
+                }
+                None => {
+                    prop_assert_eq!(ctx, trace::Context::none(), "{:?}", text);
+                    // `>`: the counter is process-global and only grows.
+                    prop_assert!(
+                        trace_header_invalid_total() > before,
+                        "{:?} not counted",
+                        text
+                    );
+                }
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn arbitrary_headers_never_panic(bytes in vec(any::<u8>(), 0..48)) {
+                check(&String::from_utf8_lossy(&bytes))?;
+            }
+
+            #[test]
+            fn near_miss_headers_never_panic(picks in vec(0usize..NASTY.len(), 0..24)) {
+                check(&picks.iter().map(|&i| NASTY[i]).collect::<String>())?;
+            }
+
+            #[test]
+            fn valid_pairs_parse(t in any::<u64>(), p in any::<u64>(), pad in 0usize..3) {
+                let space = " ".repeat(pad);
+                let text = format!("{space}{t}{space}/{space}{p}{space}");
+                let ctx = parse_trace_header(Some(&text));
+                prop_assert_eq!((ctx.trace_id(), ctx.parent()), (t, p));
+            }
+
+            #[test]
+            fn mutated_pairs_never_panic(
+                t in any::<u64>(),
+                p in any::<u64>(),
+                at in 0usize..48,
+                pick in 0usize..NASTY.len(),
+                insert in any::<bool>(),
+            ) {
+                let mut chars: Vec<char> = format!("{t}/{p}").chars().collect();
+                let at = at % (chars.len() + 1);
+                if insert || at == chars.len() {
+                    chars.insert(at, NASTY[pick]);
+                } else {
+                    chars[at] = NASTY[pick];
+                }
+                check(&chars.into_iter().collect::<String>())?;
+            }
+        }
+    }
+
     #[test]
     fn tree_trailer_strips_back_to_client_bytes() {
         let original = b"point 1000 3/2 3fe0000000000000 1\n".to_vec();

@@ -721,14 +721,24 @@ mod tests {
             }"#,
         )
         .expect("valid");
-        let out = cmd_verify(&spec).expect("renders");
-        assert!(out.contains("verdict: REFUTED"), "{out}");
-        assert!(out.contains("token-free cycle"), "{out}");
-        assert!(
-            out.contains("cross-check: howard agrees (DEADLOCK)"),
-            "{out}"
-        );
-        assert!(out.contains("starved channel cycle"), "{out}");
+        let starved = cmd_verify(&spec).expect("renders");
+        assert!(starved.contains("starved channel cycle"), "{starved}");
+        // The paper's Section 2 statement order, which blocks the
+        // motivating example on itself.
+        let mut ex = sysgraph::MotivatingExample::new();
+        ex.deadlock_ordering()
+            .apply_to(&mut ex.system)
+            .expect("the ordering fits");
+        let self_blocking = render_verify_system(&ex.system, None).expect("renders");
+        for out in [&starved, &self_blocking] {
+            assert!(out.contains("verdict: REFUTED"), "{out}");
+            assert!(out.contains("token-free cycle"), "{out}");
+            assert!(
+                out.contains("cross-check: howard agrees (DEADLOCK)"),
+                "{out}"
+            );
+            assert!(out.contains("counterexample"), "{out}");
+        }
     }
 
     #[test]
@@ -814,21 +824,40 @@ mod tests {
         assert!(out.contains("cache:"), "{out}");
     }
 
+    /// The `cache:` trailer included: a lookup that loses a race to
+    /// store the same configuration counts as a hit, so parallel workers
+    /// report the serial counters. The socgen design over the E19 ladder
+    /// (0.5x to 5x the cycle time under Algorithm 1) is where workers do
+    /// race on the same configurations.
     #[test]
     fn sweep_is_identical_at_any_job_count() {
-        let spec = parse_spec(SAMPLE).expect("valid");
-        let serial = cmd_sweep(&spec, &[5, 10, 100], 1).expect("sweeps");
-        for jobs in [2, 4, 0] {
-            let parallel = cmd_sweep(&spec, &[5, 10, 100], jobs).expect("sweeps");
-            // Compare the front only — cache counters may differ when
-            // parallel workers race on the same missing entry.
-            let table = |s: &str| {
-                s.lines()
-                    .filter(|l| !l.starts_with("cache:"))
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            };
-            assert_eq!(table(&parallel), table(&serial), "jobs = {jobs}");
+        let soc = socgen::generate(socgen::SocGenConfig::sized(120, 180, 42));
+        let design = ermes::Design::new(soc.system, soc.pareto).expect("sizes match");
+        let mut ordered = design.clone();
+        chanorder::order_channels(ordered.system())
+            .ordering
+            .apply_to(ordered.system_mut())
+            .expect("valid ordering");
+        let base = ermes::analyze_design(&ordered)
+            .cycle_time()
+            .expect("generated benchmarks are live")
+            .to_f64();
+        let ladder: Vec<u64> = [
+            0.5, 0.65, 0.8, 0.95, 1.1, 1.25, 1.4, 1.6, 2.0, 2.5, 3.5, 5.0,
+        ]
+        .iter()
+        .map(|f| ((base * f) as u64).max(1))
+        .collect();
+        for (spec, targets) in [
+            (parse_spec(SAMPLE).expect("valid"), vec![5, 10, 100]),
+            (SystemSpec::from_design(&design), ladder),
+        ] {
+            let serial = cmd_sweep(&spec, &targets, 1).expect("sweeps");
+            assert!(serial.contains("cache: analysis"), "{serial}");
+            for jobs in [2, 2, 4, 0] {
+                let parallel = cmd_sweep(&spec, &targets, jobs).expect("sweeps");
+                assert_eq!(parallel, serial, "jobs = {jobs}");
+            }
         }
     }
 

@@ -456,13 +456,94 @@ mod tests {
         }
     }
 
+    /// A plan clause drawn from `rng`, and whether it parses: a valid
+    /// `name=action[@p][#n]` clause, or one with exactly one malformed
+    /// part.
+    fn clause(rng: &mut SplitMix64, malformed: bool) -> String {
+        let names = ["worker.job", "cache.insert", "http.write", "net", "p"];
+        let actions = [
+            "panic",
+            "short",
+            "conn.refuse",
+            "conn.reset",
+            "resp.truncate",
+            "delay(5)",
+            "resp.delay(7)",
+        ];
+        let mut pick = |n: usize| (rng.next() % n as u64) as usize;
+        let name = names[pick(names.len())];
+        let action = actions[pick(actions.len())];
+        let probability = ["", "@0", "@1", "@0.25", "@ 0.5"][pick(5)];
+        let cap = ["", "#0", "#3", "# 2"][pick(4)];
+        if !malformed {
+            return format!("{name}={action}{probability}{cap}");
+        }
+        match pick(8) {
+            0 => format!("{name}{action}"), // no `=`
+            1 => format!("seed=-{}", pick(100)),
+            2 => format!("{name}=explode{probability}{cap}"),
+            3 => format!("{name}={action}@1.5{cap}"),
+            4 => format!("{name}={action}@NaN"),
+            5 => format!("{name}={action}{probability}#x"),
+            6 => format!("{name}=delay(ms){cap}"),
+            _ => format!("{name}=resp.delay(-1)"),
+        }
+    }
+
+    /// A plan of up to four clauses, one of them malformed if asked.
+    fn plan(rng: &mut SplitMix64, malformed: bool) -> String {
+        let n = 1 + (rng.next() % 4) as usize;
+        let bad = (rng.next() % n as u64) as usize;
+        let mut clauses = vec![format!("seed={}", rng.next())];
+        clauses.extend((0..n).map(|i| clause(rng, malformed && i == bad)));
+        clauses.join(";")
+    }
+
+    /// Property suite for the `ERMES_FAULTPOINTS` grammar, on a seeded
+    /// generator: arbitrary text and mutated plans never panic `parse`,
+    /// generated plans parse, and a plan with one malformed clause is an
+    /// `Err`.
+    #[test]
+    fn plan_grammar_survives_hostile_input() {
+        let mut rng = SplitMix64(0x0fa1_7915);
+        let alphabet: Vec<char> = "seed=;@#().0123456789panicshortdelay-x \té"
+            .chars()
+            .collect();
+        for _ in 0..2_000 {
+            let len = (rng.next() % 48) as usize;
+            let text: String = (0..len)
+                .map(|_| alphabet[(rng.next() % alphabet.len() as u64) as usize])
+                .collect();
+            let _ = Plan::parse(&text);
+            let bytes: Vec<u8> = (0..len).map(|_| rng.next() as u8).collect();
+            let _ = Plan::parse(&String::from_utf8_lossy(&bytes));
+
+            let valid = plan(&mut rng, false);
+            assert!(Plan::parse(&valid).is_ok(), "{valid:?}");
+            let bad = plan(&mut rng, true);
+            assert!(Plan::parse(&bad).is_err(), "{bad:?}");
+
+            // Truncate a valid plan, then flip one of its characters.
+            let mut chars: Vec<char> = valid.chars().collect();
+            chars.truncate(1 + (rng.next() as usize) % chars.len());
+            let _ = Plan::parse(&chars.iter().collect::<String>());
+            let at = (rng.next() as usize) % chars.len();
+            chars[at] = alphabet[(rng.next() % alphabet.len() as u64) as usize];
+            let _ = Plan::parse(&chars.iter().collect::<String>());
+        }
+    }
+
     #[test]
     fn activate_with_bad_spec_keeps_previous_plan() {
         let _gate = GATE.lock().expect("gate");
         activate("seed=1;p=short").expect("parses");
-        activate("p=explode").expect_err("rejected");
-        assert!(active(), "previous plan still installed");
-        assert_eq!(hit("p"), Fault::ShortWrite);
+        let mut rng = SplitMix64(0xac71_fa7e);
+        let generated = (0..200).map(|_| plan(&mut rng, true));
+        for bad in std::iter::once("p=explode".to_string()).chain(generated) {
+            activate(&bad).expect_err(&bad);
+            assert!(active(), "{bad:?} uninstalled the previous plan");
+            assert_eq!(hit("p"), Fault::ShortWrite, "{bad:?}");
+        }
         deactivate();
     }
 }

@@ -143,7 +143,9 @@ impl SpanTree {
     /// [`WireError`] on an unknown version, a malformed line, or an
     /// empty document.
     pub fn from_wire(text: &str) -> Result<SpanTree, WireError> {
-        let mut lines = text.lines();
+        // Lines end at `\n` only: a raw `\r` is a legal token byte (the
+        // escapes cover `\n` alone), which `str::lines` would strip.
+        let mut lines = text.split('\n');
         let header = lines.next().ok_or(WireError("empty document".into()))?;
         let (magic, count) = header
             .split_once(' ')
@@ -167,7 +169,10 @@ impl SpanTree {
         if count == 0 {
             return err("a tree has at least its root");
         }
-        let mut records = Vec::with_capacity(count);
+        // The header's count is the peer's claim, not a size: reserving
+        // it would let a 30-byte document request gigabytes, so the
+        // vector grows with the spans actually read.
+        let mut records = Vec::new();
         for _ in 0..count {
             let line = lines.next().ok_or(WireError(format!(
                 "document ends after {} of {count} spans",
