@@ -37,6 +37,10 @@ fn deadlocking_spec_is_diagnosed() {
     let out = cmd_analyze(&spec).expect("analyzes");
     assert!(out.contains("DEADLOCK"), "{out}");
     assert!(out.contains("token-free cycle"), "{out}");
+    // The witness block, transition names included, byte for byte.
+    let witness = "token-free cycle (4 places):\n  ch[d] -> ch[f]\n  ch[f] -> L[P5]\n  \
+                   L[P5] -> ch[g]\n  ch[g] -> ch[d]\n";
+    assert!(out.ends_with(witness), "{out}");
     let sim = cmd_simulate(&spec, 20).expect("simulates");
     assert!(sim.contains("DEADLOCKED"), "{sim}");
 }

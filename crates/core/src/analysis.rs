@@ -97,18 +97,25 @@ pub fn target_ratio(target_cycle_time: u64) -> Ratio {
 /// ```
 #[must_use]
 pub fn analyze_design(design: &Design) -> PerfReport {
-    analyze_report(design, None).expect("no cancel token, cannot be cancelled")
+    analyze_report(design, None, None).expect("no cancel token, cannot be cancelled")
 }
 
 /// [`analyze_design`] with the per-SCC Howard solves polling `cancel`
-/// between policy-improvement rounds; on the `Ok` path the report is
-/// bit-identical to the uncancellable call.
+/// between policy-improvement rounds, analyzed as the next state of
+/// `chain` when one is given (an exploration chain, whose Howard solves
+/// start from its last converged policies) and from a fresh state
+/// otherwise. On the `Ok` path the report is bit-identical to the
+/// uncancellable one-shot call either way.
 pub(crate) fn analyze_report(
     design: &Design,
+    chain: Option<&mut IncrementalAnalysis>,
     cancel: Option<&parx::CancelToken>,
 ) -> Result<PerfReport, parx::Cancelled> {
     let lowered = lower_to_tmg(design.system());
-    let verdict = IncrementalAnalysis::new_with_cancel(lowered.tmg(), cancel)?.into_verdict();
+    let verdict = match chain {
+        Some(chain) => chain.reanalyze(lowered.tmg(), cancel)?.clone(),
+        None => IncrementalAnalysis::new_with_cancel(lowered.tmg(), cancel)?.into_verdict(),
+    };
     Ok(report_from(&lowered, verdict))
 }
 

@@ -29,6 +29,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use sysgraph::{ChannelId, ChannelOrdering};
+use tmg::IncrementalAnalysis;
 
 /// The memo key: selection vector + statement orders, nothing else.
 ///
@@ -252,17 +253,20 @@ impl EngineCache {
     /// result is bit-identical to a direct [`crate::analyze_design`] call
     /// (the cached computation is deterministic).
     pub fn analyze(&self, design: &Design) -> PerfReport {
-        self.analyze_with(design, None)
+        self.analyze_with(design, None, None)
             .expect("no cancel token, cannot be cancelled")
     }
 
     /// [`EngineCache::analyze`], polling `cancel` on a miss when one is
-    /// given. Hits are served as usual (they are complete by
-    /// construction); a cancelled computation is **never inserted**, so
-    /// no later request can be served a partial result.
+    /// given, and analyzing a miss as the next state of `chain` when one
+    /// is given (a hit leaves the chain alone). Hits are served as usual
+    /// (they are complete by construction); a cancelled computation is
+    /// **never inserted**, so no later request can be served a partial
+    /// result.
     pub(crate) fn analyze_with(
         &self,
         design: &Design,
+        chain: Option<&mut IncrementalAnalysis>,
         cancel: Option<&parx::CancelToken>,
     ) -> Result<PerfReport, parx::Cancelled> {
         let _span = trace::span("cache");
@@ -273,7 +277,7 @@ impl EngineCache {
             trace::attr("cache", "hit");
             return Ok(hit);
         }
-        let computed = analyze_report(design, cancel).and_then(|report| {
+        let computed = analyze_report(design, chain, cancel).and_then(|report| {
             // The report is complete here; one last poll keeps a cancelled
             // job from publishing an entry its requester will never read
             // (and lets chaos tests slow this window with a delay fault).
@@ -567,7 +571,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel(CancelReason::Disconnected);
         let err = cache
-            .analyze_with(&design, Some(&token))
+            .analyze_with(&design, None, Some(&token))
             .expect_err("token already fired");
         assert_eq!(err.reason, CancelReason::Disconnected);
         assert_eq!(
@@ -579,7 +583,9 @@ mod tests {
         let live = CancelToken::new();
         let fresh = analyze_design(&design);
         assert_eq!(
-            cache.analyze_with(&design, Some(&live)).expect("live"),
+            cache
+                .analyze_with(&design, None, Some(&live))
+                .expect("live"),
             fresh
         );
         assert_eq!(cache.entry_counts().0, 1);

@@ -7,6 +7,7 @@
 
 use crate::error::ErmesError;
 use hlsim::ParetoSet;
+use std::sync::Arc;
 use sysgraph::{ProcessId, SystemGraph};
 
 /// A system together with per-process Pareto sets and the currently
@@ -15,10 +16,13 @@ use sysgraph::{ProcessId, SystemGraph};
 /// Invariants: one Pareto set and one valid selection per process; the
 /// system's process latencies always equal the selected implementations'
 /// latencies.
+///
+/// The Pareto sets never change after [`Design::new`], so clones share
+/// them: a sweep clones its base design once per target.
 #[derive(Debug, Clone)]
 pub struct Design {
     system: SystemGraph,
-    pareto: Vec<ParetoSet>,
+    pareto: Arc<[ParetoSet]>,
     selected: Vec<usize>,
 }
 
@@ -53,7 +57,7 @@ impl Design {
             .collect();
         let mut design = Design {
             system,
-            pareto,
+            pareto: pareto.into(),
             selected,
         };
         design.sync_latencies();

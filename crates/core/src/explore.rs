@@ -7,6 +7,14 @@
 //! and finally re-run the channel-ordering algorithm on the new process
 //! latencies. Previously visited configurations are excluded by no-good
 //! cuts; the loop stops when the active optimization proposes no change.
+//!
+//! One run is one *chain* of analyses: [`explore_with`] carries one
+//! [`tmg::IncrementalAnalysis`] from iteration to iteration, so each
+//! analysis (each cache miss, when a cache is set) starts Howard from the
+//! policies the previous one converged to. An iteration changes a few
+//! selections and, through Algorithm 1, the statement order of many
+//! processes, so every analysis re-lowers the system; the carried policy
+//! is what survives. Results do not depend on it.
 
 use crate::analysis::{analyze_design, analyze_report, target_ratio, PerfReport};
 use crate::cache::EngineCache;
@@ -14,7 +22,7 @@ use crate::design::Design;
 use crate::error::ErmesError;
 use crate::opt::{area_recovery, timing_optimization, OptStrategy};
 use sysgraph::ProcessId;
-use tmg::Ratio;
+use tmg::{IncrementalAnalysis, Ratio};
 
 /// Configuration of an exploration run.
 #[derive(Debug, Clone, Copy)]
@@ -74,9 +82,19 @@ impl ExploreOptions<'_> {
     /// [`parx::Cancelled`] when the token fired before the analysis
     /// finished.
     pub fn analyze(&self, design: &Design) -> Result<PerfReport, parx::Cancelled> {
+        self.analyze_in(design, None)
+    }
+
+    /// [`Self::analyze`], solving a miss as the next analysis of `chain`
+    /// when one is given (see the [module docs](self)).
+    fn analyze_in(
+        &self,
+        design: &Design,
+        chain: Option<&mut IncrementalAnalysis>,
+    ) -> Result<PerfReport, parx::Cancelled> {
         match self.cache {
-            Some(cache) => cache.analyze_with(design, self.cancel),
-            None => analyze_report(design, self.cancel),
+            Some(cache) => cache.analyze_with(design, chain, self.cancel),
+            None => analyze_report(design, chain, self.cancel),
         }
     }
 
@@ -304,13 +322,14 @@ pub fn explore_with(
     // its given ordering is repaired by reordering right away — deadlock
     // removal is the ordering algorithm's first job (Section 4).
     let total = config.max_iterations;
+    let mut chain = IncrementalAnalysis::default();
     let mut report = options
-        .analyze(&design)
+        .analyze_in(&design, Some(&mut chain))
         .map_err(|c| cancelled(c, 0, total))?;
     if report.is_deadlock() && config.reorder {
         options.reorder(&mut design);
         report = options
-            .analyze(&design)
+            .analyze_in(&design, Some(&mut chain))
             .map_err(|c| cancelled(c, 0, total))?;
     }
     let mut iterations = vec![record(
@@ -391,7 +410,7 @@ pub fn explore_with(
                 }
                 orderings.push(sysgraph::ChannelOrdering::of(design.system()));
                 report = options
-                    .analyze(&design)
+                    .analyze_in(&design, Some(&mut chain))
                     .map_err(|c| cancelled(c, index - 1, total))?;
                 let rec = record(index, action, &report, &design, config.target_cycle_time)?;
                 if improves(&rec, &incumbent) {

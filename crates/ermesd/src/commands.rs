@@ -147,8 +147,8 @@ fn render_report(
                     let _ = writeln!(
                         out,
                         "  {} -> {}",
-                        lowered.tmg().transition(place.producer()).name(),
-                        lowered.tmg().transition(place.consumer()).name()
+                        lowered.transition_name(design.system(), place.producer()),
+                        lowered.transition_name(design.system(), place.consumer())
                     );
                 }
             }

@@ -25,6 +25,11 @@
 //! consumer frees a slot). Folding the initial items into the producer's
 //! control chain instead would unsoundly let the producer FSM run
 //! several iterations in parallel.
+//!
+//! The lowered transitions carry empty names: the exploration loop lowers
+//! the whole system on every analysis and never prints a transition, so
+//! [`LoweredTmg::transition_name`] derives a name from the system only
+//! where one is shown.
 
 use crate::ids::{ChannelId, ProcessId};
 use crate::model::SystemGraph;
@@ -102,6 +107,26 @@ impl LoweredTmg {
         self.origins[t.index()]
     }
 
+    /// The display name of transition `t`: `L[process]` for a computation
+    /// phase, `ch[channel]` for a transfer, and `put[channel]` for the
+    /// producer handshake of a channel with initial items. `system` must
+    /// be the system this graph was lowered from.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` does not belong to the lowered graph, or `system`
+    /// has fewer processes or channels than the lowered one.
+    #[must_use]
+    pub fn transition_name(&self, system: &SystemGraph, t: TransitionId) -> String {
+        match self.origins[t.index()] {
+            TmgOrigin::Process(p) => format!("L[{}]", system.process(p).name()),
+            TmgOrigin::Channel(c) if self.channel_transitions[c.index()] == t => {
+                format!("ch[{}]", system.channel(c).name())
+            }
+            TmgOrigin::Channel(c) => format!("put[{}]", system.channel(c).name()),
+        }
+    }
+
     /// The processes whose computation transitions appear among
     /// `transitions` (e.g. a critical cycle), deduplicated, in first-seen
     /// order.
@@ -177,10 +202,7 @@ pub fn lower_to_tmg(system: &SystemGraph) -> LoweredTmg {
     let process_transitions: Vec<TransitionId> = system
         .process_ids()
         .map(|p| {
-            let t = b.add_transition(
-                format!("L[{}]", system.process(p).name()),
-                system.process(p).latency(),
-            );
+            let t = b.add_transition("", system.process(p).latency());
             origins.push(TmgOrigin::Process(p));
             t
         })
@@ -193,17 +215,14 @@ pub fn lower_to_tmg(system: &SystemGraph) -> LoweredTmg {
     let channel_transitions: Vec<TransitionId> = system
         .channel_ids()
         .map(|c| {
-            let t = b.add_transition(
-                format!("ch[{}]", system.channel(c).name()),
-                system.channel(c).latency(),
-            );
+            let t = b.add_transition("", system.channel(c).latency());
             origins.push(TmgOrigin::Channel(c));
             t
         })
         .collect();
     for c in system.channel_ids() {
         if system.channel(c).initial_tokens() > 0 {
-            let tp = b.add_transition(format!("put[{}]", system.channel(c).name()), 0);
+            let tp = b.add_transition("", 0);
             origins.push(TmgOrigin::Channel(c));
             producer_transitions.push(tp);
             let k = system.channel(c).initial_tokens();
@@ -324,6 +343,23 @@ mod tests {
         let all: Vec<TransitionId> = lowered.tmg().transition_ids().collect();
         assert_eq!(lowered.processes_of(&all), vec![a, b]);
         assert_eq!(lowered.channels_of(&all), vec![x]);
+    }
+
+    #[test]
+    fn transition_names_derive_from_origins() {
+        let mut sys = SystemGraph::new();
+        let a = sys.add_process("a", 1);
+        let b = sys.add_process("b", 1);
+        sys.add_channel("x", a, b, 1).expect("valid");
+        sys.add_channel_with_tokens("fb", b, a, 1, 1)
+            .expect("valid");
+        let lowered = lower_to_tmg(&sys);
+        let names: Vec<String> = lowered
+            .tmg()
+            .transition_ids()
+            .map(|t| lowered.transition_name(&sys, t))
+            .collect();
+        assert_eq!(names, ["L[a]", "L[b]", "ch[x]", "ch[fb]", "put[fb]"]);
     }
 
     #[test]

@@ -13,6 +13,39 @@
 //! tokens (infinite ratio — structural deadlock) must be excluded by the
 //! caller, which [`IncrementalAnalysis`](crate::IncrementalAnalysis) does
 //! with the token-free cycle check.
+//!
+//! # Warm starts and the witness rule
+//!
+//! Policy iteration converges from any start policy, so a caller that
+//! re-solves an edited graph passes the *heads* of its last converged
+//! policy (for each vertex, the head vertex of its policy edge): each
+//! vertex starts on its first internal out-edge to its carried head, and
+//! on the max-delay seed edge when it has none. The converged policy is
+//! written back into the heads. Only the round count depends on them.
+//!
+//! The reported witness must not depend on the start, so it is not read
+//! off the converged policy. After convergence every vertex of the
+//! component has the same ratio λ*, and an edge `u → v` is *tight* when
+//! `rc(u, v) + bias(v) = bias(u)` under the converged biases. A *critical
+//! class* is a strongly connected class of the tight subgraph that holds
+//! a cycle; the classes are those of the critical graph (the union of
+//! the λ*-cycles), a property of the graph alone.
+//!
+//! - **One class.** The biases are a max-plus eigenvector, unique up to a
+//!   constant when the critical graph is strongly connected, so the tight
+//!   subgraph is the same from every start. The witness walks it from the
+//!   component's last member, always along the first tight out-edge in
+//!   edge order, and is the cycle closed at the first repeated vertex.
+//! - **Two or more classes** (tied critical cycles). Biases and tight
+//!   edges then depend on the start, so the solve re-runs from the seed
+//!   policy (unless it started there) and follows that policy from the
+//!   last member, as a cold solve always has. The same re-seed runs when
+//!   a warm solve hits the round cap, so a capped outcome is a cold one.
+//!
+//! The `howard` span records `iters` (policy rounds, both solves of a
+//! re-seed included), `warm` (vertices that started from a carried head;
+//! 0 for a cold solve) and, only when the solve re-ran from the seed,
+//! `reseeded=1`.
 
 use crate::ratio::Ratio;
 use crate::ratio_graph::{EdgeIdx, RatioGraph};
@@ -85,49 +118,74 @@ struct LocalEdge {
     tokens: i64,
 }
 
+/// Marks a vertex without a carried head in a heads vector.
+pub(crate) const NO_HEAD: u32 = u32::MAX;
+
 /// Reusable working memory for [`howard_on_component`].
 ///
 /// One solve of a `k`-vertex component needs a dozen short-lived vectors;
 /// allocating them per call dominates the runtime of small solves. Holding
 /// a scratch across calls (as each incremental analysis does for its
 /// lifetime) makes repeated solves allocation-free in the steady state. The scratch
-/// carries **no state between calls** — every field is (re)initialized
-/// before use — so reusing one never changes a result.
+/// carries **no state between calls** — every field but the `reseeds`
+/// statistic is (re)initialized before use — so reusing one never changes
+/// a result.
 #[derive(Debug, Default)]
 pub(crate) struct HowardScratch {
+    /// Solves that re-ran from the seed policy (tied critical classes or
+    /// a capped warm start), counted across calls.
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub reseeds: u64,
     /// Global vertex -> local index within the current component. Sized to
     /// the graph's node count; entries for non-members are stale and never
     /// read (all reads go through edges internal to the component).
     local: Vec<usize>,
-    /// CSR offsets of internal out-edges per local vertex (`k + 1` entries).
-    out_start: Vec<usize>,
-    /// CSR edge list: internal out-edges grouped by local source vertex,
-    /// in ascending edge-index order within each group (the same order the
-    /// per-vertex `Vec` construction used to produce).
-    edges: Vec<LocalEdge>,
     /// Write cursors for the CSR fill pass.
     cursor: Vec<usize>,
-    /// Current policy: one index into [`Self::edges`] per local vertex.
-    policy: Vec<usize>,
-    lambda: Vec<Ratio>,
     /// Bias values for the narrow (overflow-proven-impossible) path.
     bias64: Vec<i64>,
     /// Bias values for the wide fallback path.
     bias128: Vec<i128>,
-    /// Evaluation state: 0 = unvisited, 1 = on current path, 2 = resolved.
-    state: Vec<u8>,
-    /// Current evaluation walk, reused across starts and iterations.
-    path: Vec<usize>,
-    /// Cycle-extraction visit positions.
-    seen_at: Vec<usize>,
-    /// Cycle-extraction visit order.
-    order: Vec<usize>,
+    work: Work,
 }
 
 impl HowardScratch {
     pub fn new() -> Self {
         Self::default()
     }
+}
+
+/// The component-local arrays one solve iterates over, apart from the
+/// biases (whose integer width is chosen per component).
+#[derive(Debug, Default)]
+struct Work {
+    /// CSR offsets of internal out-edges per local vertex (`k + 1` entries).
+    out_start: Vec<usize>,
+    /// CSR edge list: internal out-edges grouped by local source vertex,
+    /// in ascending edge-index order within each group (the same order the
+    /// per-vertex `Vec` construction used to produce).
+    edges: Vec<LocalEdge>,
+    /// The max-delay seed edge of each local vertex.
+    seed: Vec<usize>,
+    /// Current policy: one index into [`Self::edges`] per local vertex.
+    policy: Vec<usize>,
+    lambda: Vec<Ratio>,
+    /// Evaluation state: 0 = unvisited, 1 = on current path, 2 = resolved.
+    /// Class counting reuses it as the Tarjan on-stack flag.
+    state: Vec<u8>,
+    /// Current evaluation walk, reused across starts and iterations.
+    /// Class counting reuses it as the Tarjan stack.
+    path: Vec<usize>,
+    /// Tarjan visit index per local vertex, for counting critical classes.
+    tindex: Vec<usize>,
+    /// Tarjan lowlink per local vertex.
+    tlow: Vec<usize>,
+    /// Tarjan DFS frames: (vertex, next edge position).
+    tframes: Vec<(usize, usize)>,
+    /// Cycle-extraction visit positions.
+    seen_at: Vec<usize>,
+    /// Cycle-extraction visit order.
+    order: Vec<usize>,
 }
 
 /// What one component's solve found.
@@ -146,34 +204,40 @@ pub(crate) enum HowardOutcome {
 /// Runs Howard's algorithm on one strongly connected component.
 ///
 /// `members` lists the vertices of the component; all cycles through them
-/// are assumed to have positive token sums. `scratch` only changes where
-/// the working vectors live, never what the iteration computes. Returns
-/// `Err(Cancelled)` when `cancel` fires between policy-improvement
-/// rounds — the poll granularity that bounds cancellation latency to one
-/// round.
+/// are assumed to have positive token sums. `heads` carries a policy from
+/// the caller's previous solves (see the [module docs](self)): it is
+/// indexed by vertex, grown to the graph's vertex count with [`NO_HEAD`],
+/// read for the start policy, and overwritten with the converged policy.
+/// It may hold anything — stale entries, or heads taken from another
+/// graph — because it changes only the round count, never the outcome.
+/// `scratch` only changes where the working vectors live. Returns
+/// `Err(Cancelled)` when `cancel` fires between policy-improvement rounds
+/// — the poll granularity that bounds cancellation latency to one round.
 pub(crate) fn howard_on_component(
     scratch: &mut HowardScratch,
     graph: &RatioGraph,
     scc: &SccDecomposition,
     members: &[u32],
+    heads: &mut Vec<u32>,
     cancel: Option<&CancelToken>,
 ) -> Result<HowardOutcome, Cancelled> {
     let k = members.len();
     let comp = scc.component[members[0] as usize];
     let HowardScratch {
+        reseeds,
         local,
-        out_start,
-        edges,
         cursor,
-        policy,
-        lambda,
         bias64,
         bias128,
-        state,
-        path,
-        seen_at,
-        order,
+        work,
     } = scratch;
+    let Work {
+        out_start,
+        edges,
+        seed,
+        policy,
+        ..
+    } = work;
 
     // Local relabeling. Stale entries for other vertices are never read:
     // every lookup goes through an edge whose endpoints are in `members`.
@@ -221,13 +285,12 @@ pub(crate) fn howard_on_component(
     // SCC (single vertex) only qualifies with a self-loop, checked above.
     debug_assert!((0..k).all(|u| out_start[u + 1] > out_start[u]));
 
-    // Seed each vertex with its maximum-delay out-edge (first one on ties).
+    // The seed: each vertex's maximum-delay out-edge (first one on ties).
     // Howard improves the policy monotonically upward, so starting near
     // the heavy edges reaches the critical cycle in fewer rounds than the
-    // arbitrary first-edge seed; the seed is a pure function of the graph,
-    // keeping the whole iteration deterministic.
-    policy.clear();
-    policy.extend((0..k).map(|u| {
+    // arbitrary first-edge seed; the seed is a pure function of the graph.
+    seed.clear();
+    seed.extend((0..k).map(|u| {
         let mut best = out_start[u];
         for cand in out_start[u] + 1..out_start[u + 1] {
             let e = &edges[cand];
@@ -241,10 +304,30 @@ pub(crate) fn howard_on_component(
         }
         best
     }));
-    lambda.clear();
-    lambda.resize(k, Ratio::zero());
-    state.clear();
-    state.resize(k, 0u8);
+
+    // The start: each vertex's first internal out-edge to its carried
+    // head, else its seed edge.
+    if heads.len() < graph.node_count {
+        heads.resize(graph.node_count, NO_HEAD);
+    }
+    let mut warm = 0usize;
+    policy.clear();
+    policy.extend((0..k).map(|u| {
+        let head = heads[members[u] as usize];
+        let carried = (head != NO_HEAD)
+            .then(|| {
+                (out_start[u]..out_start[u + 1]).find(|&e| members[edges[e].to as usize] == head)
+            })
+            .flatten();
+        match carried {
+            Some(e) => {
+                warm += 1;
+                e
+            }
+            None => seed[u],
+        }
+    }));
+    let from_seed = policy == seed;
 
     // Magnitude bounds over the component decide the arithmetic width.
     // Every ratio is a (sub)cycle delay sum over a (sub)cycle token sum,
@@ -267,42 +350,250 @@ pub(crate) fn howard_on_component(
     let rc_max = d_max * den_max + num_max * t_max;
     let bias_max = (k as i128 + 1) * rc_max;
     let limit = i128::from(i64::MAX) / 4;
-    let converged = if bias_max < limit && num_max * den_max < limit {
-        bias64.clear();
-        bias64.resize(k, 0i64);
-        iterate::<i64>(
-            edges, out_start, policy, lambda, bias64, state, path, k, cancel,
-        )?
+    let solved = if bias_max < limit && num_max * den_max < limit {
+        work.converge(bias64, from_seed, cancel)?
     } else {
-        bias128.clear();
-        bias128.resize(k, 0i128);
-        iterate::<i128>(
-            edges, out_start, policy, lambda, bias128, state, path, k, cancel,
-        )?
+        work.converge(bias128, from_seed, cancel)?
     };
-    Ok(match converged {
-        Some(best) => {
-            HowardOutcome::Converged(extract_policy_cycle(edges, policy, best, seen_at, order))
+    trace::attr("iters", solved.rounds);
+    trace::attr("warm", warm);
+    if solved.reseeded {
+        // Only on the rare tie path: a fifth attribute would double the
+        // span's attribute vector in the trace journal.
+        trace::attr("reseeded", 1);
+        *reseeds += 1;
+    }
+    Ok(match solved.witness {
+        Some(witness) => {
+            for (u, &p) in work.policy.iter().enumerate() {
+                heads[members[u] as usize] = members[work.edges[p].to as usize];
+            }
+            HowardOutcome::Converged(witness)
         }
         None => HowardOutcome::Capped,
     })
 }
 
-/// The policy-iteration loop: evaluate the current policy, then run one
-/// fused improvement sweep that switches each vertex's policy to any
-/// out-edge offering a lexicographically larger `(cycle ratio, bias)`,
-/// until a fixed point or the iteration cap. Returns the lambda-maximal
-/// vertex on convergence (the witness extraction start), `None` on cap.
+/// What [`Work::converge`] found: the witness (`None` when capped), the
+/// policy rounds spent, and whether the solve re-ran from the seed.
+struct Solved {
+    witness: Option<CycleRatioResult>,
+    rounds: usize,
+    reseeded: bool,
+}
+
+impl Work {
+    /// Iterates the start policy to a fixed point and takes the witness by
+    /// the rule of the [module docs](self): the tight walk when there is
+    /// one critical class, else the seed policy's cycle. A start other
+    /// than the seed re-solves from the seed first when the classes tie
+    /// or the round cap hits, so the outcome is always a cold solve's.
+    fn converge<W: WideInt>(
+        &mut self,
+        bias: &mut Vec<W>,
+        from_seed: bool,
+        cancel: Option<&CancelToken>,
+    ) -> Result<Solved, Cancelled> {
+        let k = self.policy.len();
+        bias.clear();
+        bias.resize(k, W::default());
+        // Rounds spent, and the critical classes of the converged policy
+        // (0 when capped). The hot loops run on plain slices.
+        let solve = |work: &mut Work, bias: &mut [W]| -> Result<(usize, usize), Cancelled> {
+            work.lambda.clear();
+            work.lambda.resize(k, Ratio::zero());
+            work.state.clear();
+            work.state.resize(k, 0);
+            let Some(rounds) = iterate(
+                &work.edges,
+                &work.out_start,
+                &mut work.policy,
+                &mut work.lambda,
+                bias,
+                &mut work.state,
+                &mut work.path,
+                cancel,
+            )?
+            else {
+                return Ok((max_rounds(k), 0));
+            };
+            Ok((rounds, work.critical_classes(bias)))
+        };
+        let (mut rounds, mut classes) = solve(self, bias)?;
+        let reseeded = classes != 1 && !from_seed;
+        if reseeded {
+            self.policy.copy_from_slice(&self.seed);
+            let (more, again) = solve(self, bias)?;
+            rounds += more;
+            classes = again;
+        }
+        let witness = match classes {
+            0 => None,
+            1 => {
+                let tight = Tight {
+                    edges: &self.edges,
+                    out_start: &self.out_start,
+                    ratio: self.lambda[0],
+                    bias,
+                };
+                Some(extract_cycle(
+                    &self.edges,
+                    k,
+                    &mut self.seen_at,
+                    &mut self.order,
+                    |u| tight.first_out(u),
+                ))
+            }
+            // Every vertex ties at λ*, and a cold solve has always
+            // followed its policy from the last one (the last maximum).
+            _ => Some(extract_cycle(
+                &self.edges,
+                k,
+                &mut self.seen_at,
+                &mut self.order,
+                |u| self.policy[u],
+            )),
+        };
+        Ok(Solved {
+            witness,
+            rounds,
+            reseeded,
+        })
+    }
+
+    /// The number of critical classes after convergence, counted up to 2:
+    /// strongly connected classes of the tight subgraph that hold a cycle
+    /// (one iterative Tarjan pass over the tight edges).
+    fn critical_classes<W: WideInt>(&mut self, bias: &[W]) -> usize {
+        const UNSEEN: usize = usize::MAX;
+        let k = self.policy.len();
+        let Work {
+            edges,
+            out_start,
+            lambda,
+            state: on_stack,
+            path: stack,
+            tindex: index,
+            tlow: low,
+            tframes: frames,
+            ..
+        } = self;
+        let tight = Tight {
+            edges,
+            out_start,
+            ratio: lambda[0],
+            bias,
+        };
+        index.clear();
+        index.resize(k, UNSEEN);
+        low.clear();
+        low.resize(k, 0);
+        on_stack.clear();
+        on_stack.resize(k, 0);
+        let (index, low, on_stack) = (&mut index[..], &mut low[..], &mut on_stack[..]);
+        stack.clear();
+        frames.clear();
+        let mut next = 0usize;
+        let mut classes = 0usize;
+        for root in 0..k {
+            if index[root] != UNSEEN {
+                continue;
+            }
+            index[root] = next;
+            low[root] = next;
+            next += 1;
+            stack.push(root);
+            on_stack[root] = 1;
+            frames.push((root, out_start[root]));
+            while let Some(&mut (v, ref mut pos)) = frames.last_mut() {
+                if *pos < out_start[v + 1] {
+                    let e = *pos;
+                    *pos += 1;
+                    if !tight.is_tight(v, e) {
+                        continue;
+                    }
+                    let w = edges[e].to as usize;
+                    if index[w] == UNSEEN {
+                        index[w] = next;
+                        low[w] = next;
+                        next += 1;
+                        stack.push(w);
+                        on_stack[w] = 1;
+                        frames.push((w, out_start[w]));
+                    } else if on_stack[w] == 1 {
+                        low[v] = low[v].min(index[w]);
+                    }
+                    continue;
+                }
+                frames.pop();
+                if let Some(&(parent, _)) = frames.last() {
+                    low[parent] = low[parent].min(low[v]);
+                }
+                if low[v] == index[v] {
+                    let mut size = 0usize;
+                    loop {
+                        let w = stack.pop().expect("tarjan stack underflow");
+                        on_stack[w] = 0;
+                        size += 1;
+                        if w == v {
+                            break;
+                        }
+                    }
+                    let cyclic = size > 1
+                        || (out_start[v]..out_start[v + 1])
+                            .any(|e| edges[e].to as usize == v && tight.is_tight(v, e));
+                    if cyclic {
+                        classes += 1;
+                        if classes > 1 {
+                            return classes;
+                        }
+                    }
+                }
+            }
+        }
+        classes
+    }
+}
+
+/// The tight subgraph of a converged component: edge `e` out of `u` is
+/// tight when `rc(e) + bias(head e) = bias(u)` under the common ratio.
+struct Tight<'a, W> {
+    edges: &'a [LocalEdge],
+    out_start: &'a [usize],
+    ratio: Ratio,
+    bias: &'a [W],
+}
+
+impl<W: WideInt> Tight<'_, W> {
+    #[inline]
+    fn is_tight(&self, u: usize, e: usize) -> bool {
+        let e = &self.edges[e];
+        reduced_cost::<W>(e.delay, e.tokens, self.ratio) + self.bias[e.to as usize] == self.bias[u]
+    }
+
+    /// `u`'s first tight out-edge in edge order (its policy edge is one).
+    fn first_out(&self, u: usize) -> usize {
+        (self.out_start[u]..self.out_start[u + 1])
+            .find(|&e| self.is_tight(u, e))
+            .expect("a converged policy edge is tight")
+    }
+}
+
+/// The policy-iteration loop: evaluate the current policy, then run
+/// one fused improvement sweep that switches each vertex's policy to
+/// any out-edge offering a lexicographically larger `(cycle ratio,
+/// bias)`, until a fixed point or the round cap. Returns the rounds
+/// spent on convergence, `None` on cap.
 ///
-/// The improvement sweep alternates direction by iteration parity. Within
-/// one sweep an improvement at vertex `v` is visible to every vertex
-/// scanned after it (Gauss–Seidel), so values propagate arbitrarily far
-/// along edges oriented *with* the scan in a single round but only one
-/// step per round against it; alternating the direction lets chains of
-/// either orientation collapse in one round each, roughly halving the
-/// round count on pipeline-shaped graphs. The direction schedule is a
-/// pure function of the iteration index, so the solve stays
-/// deterministic.
+/// The improvement sweep alternates direction by iteration parity.
+/// Within one sweep an improvement at vertex `v` is visible to every
+/// vertex scanned after it (Gauss–Seidel), so values propagate
+/// arbitrarily far along edges oriented *with* the scan in a single
+/// round but only one step per round against it; alternating the
+/// direction lets chains of either orientation collapse in one round
+/// each, roughly halving the round count on pipeline-shaped graphs.
+/// The direction schedule is a pure function of the iteration index,
+/// so the solve stays deterministic.
 #[allow(clippy::too_many_arguments)]
 fn iterate<W: WideInt>(
     edges: &[LocalEdge],
@@ -312,15 +603,14 @@ fn iterate<W: WideInt>(
     bias: &mut [W],
     state: &mut [u8],
     path: &mut Vec<usize>,
-    k: usize,
     cancel: Option<&CancelToken>,
 ) -> Result<Option<usize>, Cancelled> {
-    let max_iterations = 64 + 8 * k;
-    for iteration in 0..max_iterations {
+    let k = policy.len();
+    for iteration in 0..max_rounds(k) {
         if let Some(token) = cancel {
             token.check()?;
         }
-        // --- Evaluate the current policy. -------------------------------
+        // --- Evaluate the current policy. ---------------------------
         state.iter_mut().for_each(|s| *s = 0);
         for start in 0..k {
             if state[start] != 0 {
@@ -395,16 +685,17 @@ fn iterate<W: WideInt>(
             }
         }
 
-        // --- Improve: lexicographically by (ratio, bias). ---------------
-        // One fused sweep switches `u`'s policy to any out-edge whose head
-        // offers a strictly larger cycle ratio, or — at equal ratio — a
-        // strictly larger chained bias. On a ratio adoption the bias is
-        // set to the chained value along the new edge so later
-        // comparisons in the same sweep stay meaningful (the next
-        // evaluation recomputes the exact values either way). Improvements
-        // made earlier in the sweep are visible to vertices scanned later
-        // (Gauss–Seidel), and the scan direction alternates by iteration
-        // parity so chains of either orientation collapse quickly.
+        // --- Improve: lexicographically by (ratio, bias). -----------
+        // One fused sweep switches `u`'s policy to any out-edge whose
+        // head offers a strictly larger cycle ratio, or — at equal
+        // ratio — a strictly larger chained bias. On a ratio adoption
+        // the bias is set to the chained value along the new edge so
+        // later comparisons in the same sweep stay meaningful (the
+        // next evaluation recomputes the exact values either way).
+        // Improvements made earlier in the sweep are visible to
+        // vertices scanned later (Gauss–Seidel), and the scan
+        // direction alternates by iteration parity so chains of either
+        // orientation collapse quickly.
         let forward = iteration % 2 == 0;
         let mut improved = false;
         for step in 0..k {
@@ -413,8 +704,9 @@ fn iterate<W: WideInt>(
             for (cand, e) in out_edges.skip(out_start[u]) {
                 let v = e.to as usize;
                 if lambda[v] != lambda[u] {
-                    // Canonical form: distinct fields <=> distinct values,
-                    // so the cheap inequality gates the multiplication.
+                    // Canonical form: distinct fields <=> distinct
+                    // values, so the cheap inequality gates the
+                    // multiplication.
                     if ratio_gt::<W>(lambda[v], lambda[u]) {
                         lambda[u] = lambda[v];
                         bias[u] = reduced_cost::<W>(e.delay, e.tokens, lambda[v]) + bias[v];
@@ -432,49 +724,51 @@ fn iterate<W: WideInt>(
             }
         }
         if !improved {
-            // Converged: the lambda-maximal vertex anchors the witness.
-            trace::attr("iters", iteration + 1);
-            let best = (0..k)
-                .max_by(|&a, &b| lambda[a].cmp(&lambda[b]))
-                .expect("component non-empty");
-            return Ok(Some(best));
+            // A fixed point: no edge leads to a larger ratio, so in a
+            // strongly connected component every vertex has λ*.
+            debug_assert!(lambda.iter().all(|&l| l == lambda[0]));
+            return Ok(Some(iteration + 1));
         }
     }
-    trace::attr("iters", max_iterations);
     Ok(None)
 }
 
-/// Follows the policy from `start` until a vertex repeats and returns the
+/// Howard's round cap for a `k`-vertex component.
+fn max_rounds(k: usize) -> usize {
+    64 + 8 * k
+}
+
+/// Follows `next_edge` (a local edge index per local vertex) from the
+/// last of the `k` local vertices until a vertex repeats and returns the
 /// cycle reached, with its exact ratio.
-fn extract_policy_cycle(
+fn extract_cycle(
     edges: &[LocalEdge],
-    policy: &[usize],
-    start: usize,
+    k: usize,
     seen_at: &mut Vec<usize>,
     order: &mut Vec<usize>,
+    next_edge: impl Fn(usize) -> usize,
 ) -> CycleRatioResult {
-    let k = policy.len();
     seen_at.clear();
     seen_at.resize(k, usize::MAX);
     order.clear();
-    let mut v = start;
+    let mut v = k - 1;
     loop {
         if seen_at[v] != usize::MAX {
-            let cycle_nodes = &order[seen_at[v]..];
-            let cycle_edges: Vec<EdgeIdx> = cycle_nodes
-                .iter()
-                .map(|&u| edges[policy[u]].global as EdgeIdx)
-                .collect();
-            let delay_sum: i64 = cycle_nodes.iter().map(|&u| edges[policy[u]].delay).sum();
-            let token_sum: i64 = cycle_nodes.iter().map(|&u| edges[policy[u]].tokens).sum();
+            let cycle_edges: Vec<usize> =
+                order[seen_at[v]..].iter().map(|&u| next_edge(u)).collect();
+            let delay_sum: i64 = cycle_edges.iter().map(|&e| edges[e].delay).sum();
+            let token_sum: i64 = cycle_edges.iter().map(|&e| edges[e].tokens).sum();
             return CycleRatioResult {
                 ratio: Ratio::new(delay_sum, token_sum),
-                cycle_edges,
+                cycle_edges: cycle_edges
+                    .iter()
+                    .map(|&e| edges[e].global as EdgeIdx)
+                    .collect(),
             };
         }
         seen_at[v] = order.len();
         order.push(v);
-        v = edges[policy[v]].to as usize;
+        v = edges[next_edge(v)].to as usize;
     }
 }
 
@@ -489,7 +783,14 @@ mod tests {
         let mut scratch = HowardScratch::new();
         let mut best: Option<CycleRatioResult> = None;
         for c in 0..groups.len() {
-            match howard_on_component(&mut scratch, g, &scc, groups.group(c), None) {
+            match howard_on_component(
+                &mut scratch,
+                g,
+                &scc,
+                groups.group(c),
+                &mut Vec::new(),
+                None,
+            ) {
                 Ok(HowardOutcome::Converged(r)) => {
                     if best.as_ref().is_none_or(|b| r.ratio > b.ratio) {
                         best = Some(r);
@@ -517,6 +818,7 @@ mod tests {
             &g,
             &scc,
             groups.group(0),
+            &mut Vec::new(),
             Some(&token),
         )
         .expect_err("token already cancelled");
@@ -634,10 +936,18 @@ mod tests {
                 (&big, &scc_big, mem_big.group(0)),
                 (&small, &scc_small, mem_small.group(0)),
             ] {
-                let reused = howard_on_component(&mut scratch, g, scc, members, None)
-                    .expect("not cancelled");
-                let fresh = howard_on_component(&mut HowardScratch::new(), g, scc, members, None)
-                    .expect("not cancelled");
+                let reused =
+                    howard_on_component(&mut scratch, g, scc, members, &mut Vec::new(), None)
+                        .expect("not cancelled");
+                let fresh = howard_on_component(
+                    &mut HowardScratch::new(),
+                    g,
+                    scc,
+                    members,
+                    &mut Vec::new(),
+                    None,
+                )
+                .expect("not cancelled");
                 assert_eq!(reused, fresh);
             }
         }
@@ -645,5 +955,86 @@ mod tests {
 
     fn g_edge(g: &mut RatioGraph, from: usize, to: usize, delay: i64, tokens: i64) {
         g.add_edge(from, to, delay, tokens, None);
+    }
+
+    /// Solves the single component of `g` from `heads`.
+    fn solve_from(
+        scratch: &mut HowardScratch,
+        g: &RatioGraph,
+        heads: &mut Vec<u32>,
+    ) -> CycleRatioResult {
+        let scc = tarjan(g);
+        let groups = scc.groups();
+        assert_eq!(groups.len(), 1, "one strongly connected component");
+        match howard_on_component(scratch, g, &scc, groups.group(0), heads, None) {
+            Ok(HowardOutcome::Converged(r)) => r,
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// Two loops of ratio 6 (`0 ⇄ 1` and `2 ⇄ 3`), bridged into one
+    /// component by token-heavy edges whose cycles have ratio 1. The
+    /// bridge `3 → 0` comes before `3 → 2` in edge order.
+    fn tied_loops() -> RatioGraph {
+        let mut g = RatioGraph::with_nodes(4);
+        g_edge(&mut g, 0, 1, 3, 1); // e0
+        g_edge(&mut g, 1, 0, 3, 0); // e1
+        g_edge(&mut g, 3, 0, 0, 2); // e2: bridge
+        g_edge(&mut g, 2, 3, 3, 1); // e3
+        g_edge(&mut g, 3, 2, 3, 0); // e4
+        g_edge(&mut g, 1, 2, 0, 2); // e5: bridge
+        g
+    }
+
+    #[test]
+    fn a_warm_start_on_a_tie_reseeds_and_returns_the_cold_witness() {
+        let g = tied_loops();
+        let mut scratch = HowardScratch::new();
+        let mut cold_heads = Vec::new();
+        let cold = solve_from(&mut scratch, &g, &mut cold_heads);
+        assert_eq!(cold.ratio, Ratio::new(6, 1));
+        // The seed policy closes both loops; the last vertex reaches the
+        // loop 2 ⇄ 3, and a cold solve never re-seeds.
+        assert_eq!(cold.cycle_edges, vec![4, 3]);
+        assert_eq!(cold_heads, vec![1, 0, 3, 2]);
+        assert_eq!(scratch.reseeds, 0);
+
+        // Start vertex 3 on the bridge into the *other* loop. That policy
+        // is converged too, and under its biases the bridge is tight and
+        // first in edge order: the tight walk from vertex 3 would report
+        // the loop 0 ⇄ 1. Two critical classes send the solve back to
+        // the seed instead.
+        let mut warm_heads = vec![NO_HEAD, NO_HEAD, NO_HEAD, 0];
+        let warm = solve_from(&mut scratch, &g, &mut warm_heads);
+        assert_eq!(scratch.reseeds, 1, "the tie re-seeded");
+        assert_eq!(warm, cold, "cold witness, edge for edge");
+        assert_eq!(warm_heads, cold_heads, "heads of the re-seeded policy");
+    }
+
+    #[test]
+    fn one_critical_class_takes_the_tight_walk_from_any_start() {
+        // Ratio 15 on 1 -> 3 -> 4 -> 1 (edges 6, 3, 4), other cycles
+        // lighter: one class, so every start gives the same witness.
+        let mut g = RatioGraph::with_nodes(6);
+        for i in 0..6 {
+            g_edge(&mut g, i, (i + 1) % 6, 1, i64::from(i <= 1));
+        }
+        g_edge(&mut g, 3, 1, 13, 0);
+        g_edge(&mut g, 1, 3, 2, 1);
+        let mut scratch = HowardScratch::new();
+        let cold = solve_from(&mut scratch, &g, &mut Vec::new());
+        assert_eq!(cold.ratio, Ratio::new(15, 1));
+        for start in 0..6u32 {
+            for other in 0..7u32 {
+                // Every vertex aims at `start`; vertex `start` at `other`
+                // (7 matches no vertex, so it falls back to the seed).
+                let mut heads: Vec<u32> = (0..6)
+                    .map(|v| if v == start { other } else { start })
+                    .collect();
+                let warm = solve_from(&mut scratch, &g, &mut heads);
+                assert_eq!(warm, cold, "heads aimed at {start}/{other}");
+            }
+        }
+        assert_eq!(scratch.reseeds, 0, "one class never re-seeds");
     }
 }

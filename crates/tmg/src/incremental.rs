@@ -19,20 +19,37 @@
 //!   member set and internal edges (indices, endpoints, weights) are
 //!   unchanged.
 //!
+//! - **Any next graph** ([`IncrementalAnalysis::reanalyze`]) — the work of
+//!   a rebuild, traced as an analysis: the exploration loop carries one
+//!   state per chain and analyzes each of its cache misses through it.
+//!
+//! Every re-solve is **warm**: the state carries the *heads* of its last
+//! converged Howard policies (for each transition, the head of its policy
+//! edge), and Howard starts each solve from them. Transition indices are
+//! stable across re-lowerings of one system, so the heads of one
+//! iteration of the loop are a good start for the next. The witness is
+//! not read off the converged policy but taken by a fixed rule over the
+//! converged biases, which yields the same cycle from every start (the
+//! rule and its argument are documented with the solver, `howard.rs`).
+//!
 //! Every verdict produced this way is **bit-identical** to a from-scratch
 //! [`analyze`](crate::analyze) of the same graph: clean components reuse
 //! results a fresh solve would recompute from identical inputs with the
 //! same deterministic algorithm, dirty components run that very
-//! algorithm, and one reduction turns the per-component results into the
-//! verdict. The differential test suite pins this equivalence.
+//! algorithm — whose result, witness included, does not depend on the
+//! start policy — and one reduction turns the per-component results into
+//! the verdict. The differential test suites pin this equivalence.
 //!
 //! Cancellation is cooperative and leaves the state *resumable*: dirty
 //! flags are only cleared after a component's re-solve completes, so a
 //! cancelled [`reprice`](IncrementalAnalysis::reprice) can simply be
 //! retried. A cancelled [`rebuild`](IncrementalAnalysis::rebuild) leaves
-//! the previous state untouched (the new state is committed atomically at
-//! the end); callers that already mutated their graph must retry the
-//! rebuild before trusting [`verdict`](IncrementalAnalysis::verdict).
+//! the previous analysis untouched (the new state is committed atomically
+//! at the end), except that the solves that finished before the cancel
+//! may already have advanced the carried heads — which only changes how
+//! fast later solves converge. Callers that already mutated their graph
+//! must retry the rebuild before trusting
+//! [`verdict`](IncrementalAnalysis::verdict).
 
 use crate::analysis::cycle_verdict;
 use crate::deadlock::find_token_free_cycle;
@@ -84,6 +101,9 @@ pub struct IncrementalAnalysis {
     /// after a successful re-solve — the cancellation-resume invariant).
     dirty: Vec<bool>,
     scratch: HowardScratch,
+    /// The carried policy: per transition, the head of its edge in the
+    /// last converged solve of its component (`NO_HEAD` before any).
+    heads: Vec<u32>,
     verdict: Verdict,
 }
 
@@ -96,6 +116,7 @@ impl Default for IncrementalAnalysis {
             results: Vec::new(),
             dirty: Vec::new(),
             scratch: HowardScratch::new(),
+            heads: Vec::new(),
             verdict: Verdict::Acyclic,
         }
     }
@@ -119,13 +140,35 @@ impl IncrementalAnalysis {
     ///
     /// [`Cancelled`] when the token fired before the analysis finished.
     pub fn new_with_cancel(graph: &Tmg, cancel: Option<&CancelToken>) -> Result<Self, Cancelled> {
-        let _span = trace::span("analysis");
         let mut state = IncrementalAnalysis::default();
-        state.resolve(graph, cancel)?;
-        if !state.verdict.is_deadlock() {
-            trace::attr("sccs", state.components.len());
-        }
+        state.reanalyze(graph, cancel)?;
         Ok(state)
+    }
+
+    /// Analyzes `graph` — any graph, the next one of a chain of analyses
+    /// — reusing what [`rebuild`](Self::rebuild) reuses and starting every
+    /// Howard solve from the carried heads. Traced like a first solve: one
+    /// `analysis` span with a `howard` child per solve.
+    ///
+    /// The verdict is bit-identical to [`analyze`](crate::analyze) of
+    /// `graph`, whatever the state analyzed before.
+    ///
+    /// # Errors
+    ///
+    /// [`Cancelled`] when the token fired before the analysis finished;
+    /// the state is then left as a cancelled [`rebuild`](Self::rebuild)
+    /// leaves it.
+    pub fn reanalyze(
+        &mut self,
+        graph: &Tmg,
+        cancel: Option<&CancelToken>,
+    ) -> Result<&Verdict, Cancelled> {
+        let _span = trace::span("analysis");
+        self.resolve(graph, cancel)?;
+        if !self.verdict.is_deadlock() {
+            trace::attr("sccs", self.components.len());
+        }
+        Ok(&self.verdict)
     }
 
     /// The verdict for the last successfully analyzed graph state.
@@ -210,6 +253,7 @@ impl IncrementalAnalysis {
             if self.dirty[i] {
                 self.results[i] = solve_component(
                     &mut self.scratch,
+                    &mut self.heads,
                     &self.rg,
                     &self.scc,
                     &self.components,
@@ -233,8 +277,9 @@ impl IncrementalAnalysis {
     /// the number of components solved.
     ///
     /// The new state is committed atomically: on cancellation the previous
-    /// state is left untouched, and the caller must retry before trusting
-    /// [`verdict`](Self::verdict) again.
+    /// analysis is left untouched (only the carried heads may have
+    /// advanced, see the [module docs](self)), and the caller must retry
+    /// before trusting [`verdict`](Self::verdict) again.
     ///
     /// # Errors
     ///
@@ -250,8 +295,8 @@ impl IncrementalAnalysis {
         Ok(solved)
     }
 
-    /// The work of [`rebuild`](Self::rebuild), untraced: the first solve
-    /// of [`new_with_cancel`](Self::new_with_cancel) runs it too.
+    /// The work of [`rebuild`](Self::rebuild), untraced:
+    /// [`reanalyze`](Self::reanalyze) runs it too.
     fn resolve(&mut self, graph: &Tmg, cancel: Option<&CancelToken>) -> Result<usize, Cancelled> {
         if let Some(witness) = find_token_free_cycle(graph) {
             // No ratio state is kept for a deadlocked graph; the ratio
@@ -259,6 +304,7 @@ impl IncrementalAnalysis {
             *self = IncrementalAnalysis {
                 rg: RatioGraph::from_tmg(graph),
                 scratch: std::mem::take(&mut self.scratch),
+                heads: std::mem::take(&mut self.heads),
                 verdict: Verdict::Deadlock { witness },
                 ..IncrementalAnalysis::default()
             };
@@ -274,7 +320,15 @@ impl IncrementalAnalysis {
                 Some(old) => self.results[old].clone(),
                 None => {
                     solved += 1;
-                    solve_component(&mut self.scratch, &rg, &scc, &components, i, cancel)?
+                    solve_component(
+                        &mut self.scratch,
+                        &mut self.heads,
+                        &rg,
+                        &scc,
+                        &components,
+                        i,
+                        cancel,
+                    )?
                 }
             };
             results.push(outcome);
@@ -332,9 +386,10 @@ impl IncrementalAnalysis {
     }
 }
 
-/// One traced Howard solve of component `i`.
+/// One traced Howard solve of component `i`, started from `heads`.
 fn solve_component(
     scratch: &mut HowardScratch,
+    heads: &mut Vec<u32>,
     rg: &RatioGraph,
     scc: &SccDecomposition,
     components: &SccGroups,
@@ -345,7 +400,7 @@ fn solve_component(
     trace::attr("scc", i);
     let members = components.group(i);
     trace::attr("nodes", members.len());
-    howard_on_component(scratch, rg, scc, members, cancel)
+    howard_on_component(scratch, rg, scc, members, heads, cancel)
 }
 
 /// Reduces per-component outcomes to the graph's maximum-ratio cycle:
@@ -529,8 +584,15 @@ mod tests {
         let mut scratch = HowardScratch::new();
         let mut outcomes: Vec<HowardOutcome> = (0..groups.len())
             .map(|c| {
-                howard_on_component(&mut scratch, &rg, &scc, groups.group(c), None)
-                    .expect("not cancelled")
+                howard_on_component(
+                    &mut scratch,
+                    &rg,
+                    &scc,
+                    groups.group(c),
+                    &mut Vec::new(),
+                    None,
+                )
+                .expect("not cancelled")
             })
             .collect();
         let parametric = max_cycle_ratio_parametric(&rg).expect("cyclic");
@@ -555,5 +617,221 @@ mod tests {
         let token = parx::CancelToken::new();
         token.cancel(parx::CancelReason::Deadline);
         assert!(best_cycle(&rg, &outcomes, Some(&token)).is_err());
+    }
+
+    /// Carried heads only change speed: whatever heads a state holds —
+    /// arbitrary values, or the heads of another graph — every verdict of
+    /// a chain of reprice, rebuild and reanalyze steps equals a fresh
+    /// [`analyze`], ratio and witness edge for edge.
+    mod warm_chains {
+        use super::*;
+        use crate::howard::NO_HEAD;
+        use proptest::prelude::*;
+
+        /// A graph as places over `delays.len()` transitions. `ring`
+        /// shapes are a ring carrying one token on its first place plus
+        /// chord places (the graphs of the crate's ring property suite);
+        /// `tie` shapes are two loops with equal delay sums and one token
+        /// each, bridged both ways by places of two tokens, so the one
+        /// component has two tied critical cycles.
+        #[derive(Debug, Clone)]
+        struct Shape {
+            delays: Vec<u64>,
+            places: Vec<(usize, usize, u64)>,
+        }
+
+        impl Shape {
+            fn build(&self) -> Tmg {
+                let mut b = TmgBuilder::new();
+                let ts: Vec<_> = self
+                    .delays
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &d)| b.add_transition(format!("t{i}"), d))
+                    .collect();
+                for &(from, to, tokens) in &self.places {
+                    b.add_place(ts[from], ts[to], tokens);
+                }
+                b.build().expect("non-empty")
+            }
+        }
+
+        fn arb_ring() -> impl Strategy<Value = Shape> {
+            (
+                2usize..8,
+                proptest::collection::vec(0u64..6, 8usize),
+                proptest::collection::vec((0usize..8, 0usize..8, 0u64..3), 0..10),
+            )
+                .prop_map(|(n, delays, chords)| Shape {
+                    delays: delays[..n].iter().map(|d| d + 1).collect(),
+                    places: (0..n)
+                        .map(|i| (i, (i + 1) % n, u64::from(i == 0)))
+                        .chain(chords.into_iter().map(|(a, c, t)| (a % n, c % n, t)))
+                        .collect(),
+                })
+        }
+
+        fn arb_tie() -> impl Strategy<Value = Shape> {
+            (
+                proptest::collection::vec(0u64..6, 1..5),
+                0usize..4,
+                (0usize..8, 0usize..8),
+            )
+                .prop_map(|(loop_delays, rotate, (out_at, back_at))| {
+                    let n = loop_delays.len();
+                    // The second loop runs the first one's delays rotated:
+                    // the same delay sum, hence the same ratio.
+                    let mut delays: Vec<u64> = loop_delays.iter().map(|d| d + 1).collect();
+                    let mut second = delays.clone();
+                    second.rotate_left(rotate % n);
+                    delays.extend(second);
+                    let mut places = Vec::new();
+                    for base in [0, n] {
+                        for i in 0..n {
+                            places.push((base + i, base + (i + 1) % n, u64::from(i == 0)));
+                        }
+                    }
+                    places.push((out_at % n, n + back_at % n, 2));
+                    places.push((n + out_at % n, back_at % n, 2));
+                    Shape { delays, places }
+                })
+        }
+
+        /// One step of a chain: a delay edit (reprice), a token edit
+        /// (rebuild, or reanalyze when `via_reanalyze`), or heads replaced
+        /// by arbitrary values.
+        #[derive(Debug, Clone)]
+        enum Step {
+            Reprice {
+                at: usize,
+                delay: u64,
+            },
+            Restructure {
+                at: usize,
+                tokens: u64,
+                via_reanalyze: bool,
+            },
+            Heads(Vec<u32>),
+        }
+
+        fn arb_step() -> impl Strategy<Value = Step> {
+            (
+                0u8..3,
+                0usize..32,
+                0u64..9,
+                proptest::collection::vec(0u32..20, 0..24),
+            )
+                .prop_map(|(kind, at, value, heads)| match kind {
+                    0 => Step::Reprice { at, delay: value },
+                    1 => Step::Restructure {
+                        at,
+                        tokens: value % 3,
+                        via_reanalyze: value % 2 == 0,
+                    },
+                    _ => Step::Heads(
+                        heads
+                            .into_iter()
+                            .map(|h| if h == 19 { NO_HEAD } else { h })
+                            .collect(),
+                    ),
+                })
+        }
+
+        /// Runs one chain on `shape`, starting from `heads`; returns the
+        /// re-seeds it took, or the first mismatch against [`analyze`].
+        fn run_chain(
+            mut shape: Shape,
+            heads: Vec<u32>,
+            steps: &[Step],
+        ) -> Result<u64, TestCaseError> {
+            let mut g = shape.build();
+            let mut inc = IncrementalAnalysis {
+                heads,
+                ..IncrementalAnalysis::default()
+            };
+            inc.rebuild(&g, None).expect("not cancelled");
+            prop_assert_eq!(inc.verdict(), &analyze(&g), "first solve");
+            for (i, step) in steps.iter().enumerate() {
+                match step {
+                    Step::Reprice { at, delay } => {
+                        let t = TransitionId::from_index(at % shape.delays.len());
+                        shape.delays[t.index()] = *delay;
+                        g.set_transition_delay(t, *delay);
+                        inc.reprice(&g, &[t], None).expect("not cancelled");
+                    }
+                    Step::Restructure {
+                        at,
+                        tokens,
+                        via_reanalyze,
+                    } => {
+                        let at = at % shape.places.len();
+                        shape.places[at].2 = *tokens;
+                        g = shape.build();
+                        if *via_reanalyze {
+                            inc.reanalyze(&g, None).expect("not cancelled");
+                        } else {
+                            inc.rebuild(&g, None).expect("not cancelled");
+                        }
+                    }
+                    Step::Heads(heads) => {
+                        // Heads only reach a re-solve, so mark every
+                        // component dirty and re-solve them all.
+                        inc.heads = heads.clone();
+                        inc.dirty.iter_mut().for_each(|d| *d = true);
+                        inc.reprice(&g, &[], None).expect("not cancelled");
+                    }
+                }
+                prop_assert_eq!(inc.verdict(), &analyze(&g), "after step {} ({:?})", i, step);
+            }
+            Ok(inc.scratch.reseeds)
+        }
+
+        /// The heads a chain ends with after solving `shape`.
+        fn heads_of(shape: &Shape) -> Vec<u32> {
+            let mut inc = IncrementalAnalysis::default();
+            inc.rebuild(&shape.build(), None).expect("not cancelled");
+            inc.heads
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            #[test]
+            fn arbitrary_heads_never_change_a_ring_verdict(
+                shape in arb_ring(),
+                other in arb_ring(),
+                heads in proptest::collection::vec(0u32..20, 0..24),
+                foreign in any::<bool>(),
+                steps in proptest::collection::vec(arb_step(), 1..8),
+            ) {
+                let heads = if foreign { heads_of(&other) } else { heads };
+                run_chain(shape, heads, &steps)?;
+            }
+        }
+
+        /// Tied critical cycles under arbitrary heads: the verdicts hold,
+        /// and the tie path — a re-solve from the seed — actually runs.
+        #[test]
+        fn tied_cycles_reseed_and_keep_every_verdict() {
+            let mut reseeds = 0u64;
+            proptest::run_cases(
+                &ProptestConfig::with_cases(128),
+                "tied_cycles_reseed_and_keep_every_verdict",
+                |rng| {
+                    let shape = arb_tie().generate(rng);
+                    let other = arb_ring().generate(rng);
+                    let heads = proptest::collection::vec(0u32..20, 0..24).generate(rng);
+                    let heads = if rng.next_u64() % 2 == 0 {
+                        heads_of(&other)
+                    } else {
+                        heads
+                    };
+                    let steps = proptest::collection::vec(arb_step(), 1..8).generate(rng);
+                    reseeds += run_chain(shape, heads, &steps)?;
+                    Ok(())
+                },
+            );
+            assert!(reseeds > 0, "no solve took the re-seed path");
+        }
     }
 }

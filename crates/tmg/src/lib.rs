@@ -20,8 +20,10 @@
 //!   arithmetic ([`Ratio`]).
 //! - [`IncrementalAnalysis`]: the one solver driver behind [`analyze`],
 //!   kept alive across delay and structural edits so that only the
-//!   strongly connected components an edit touches are re-solved, and
-//!   cooperatively cancellable.
+//!   strongly connected components an edit touches are re-solved, each
+//!   from the policy its last solve converged to (the reported critical
+//!   cycle does not depend on that start), and cooperatively
+//!   cancellable.
 //! - [`analyze_parametric`]: an independent Lawler-style solver, Howard's
 //!   fallback when a component hits the policy-iteration round cap and
 //!   the oracle the property tests check Howard against.
@@ -99,7 +101,14 @@ mod oracle_tests {
         let mut scratch = HowardScratch::new();
         let mut best: Option<Ratio> = None;
         for c in 0..groups.len() {
-            match howard_on_component(&mut scratch, g, &scc, groups.group(c), None) {
+            match howard_on_component(
+                &mut scratch,
+                g,
+                &scc,
+                groups.group(c),
+                &mut Vec::new(),
+                None,
+            ) {
                 Ok(HowardOutcome::Converged(r)) => {
                     if best.is_none_or(|b| r.ratio > b) {
                         best = Some(r.ratio);

@@ -33,8 +33,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 let place = lowered.tmg().place(*p);
                 println!(
                     "  {} -> {}",
-                    lowered.tmg().transition(place.producer()).name(),
-                    lowered.tmg().transition(place.consumer()).name()
+                    lowered.transition_name(&ex.system, place.producer()),
+                    lowered.transition_name(&ex.system, place.consumer())
                 );
             }
         }
